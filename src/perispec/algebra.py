@@ -36,7 +36,9 @@ __all__ = [
     "jordan_product",
     "hermitian_eig",
     "general_eigenvalues",
+    "general_eig",
     "null_space",
+    "column_space",
     "polar_decomposition",
     "scalar_multiple_of_identity",
 ]
@@ -227,13 +229,32 @@ def hermitian_eig(
     return w, v
 
 
-def general_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalue multiset of a general square complex matrix."""
+def _general_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def general_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalue multiset of a general square complex matrix."""
+    m = _general_square(m)
     try:
         return np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def general_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a general square complex matrix and a matrix whose
+    columns are matching unit-norm right eigenvectors.
+
+    At a defective eigenvalue the columns for its repeated copies come out
+    nearly parallel, so callers must check their rank before using them.
+    """
+    m = _general_square(m)
+    try:
+        return np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(str(exc)) from exc
 
@@ -256,6 +277,21 @@ def null_space(
     cutoff = max(tol.rank_tol * smax, atol)
     rank = int(np.sum(s > cutoff))
     return [vh[i].conj() for i in range(rank, vh.shape[0])]
+
+
+def column_space(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the range of ``m``, as the columns of a matrix.
+
+    A singular value counts as zero when it is at most ``rank_tol`` times the
+    largest singular value, as in :func:`null_space`.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    try:
+        u, s, _ = np.linalg.svd(m, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(str(exc)) from exc
+    smax = float(s[0]) if s.size else 0.0
+    return u[:, : int(np.sum(s > tol.rank_tol * smax))]
 
 
 def polar_decomposition(

@@ -9,6 +9,9 @@ in a ``method`` field instead of overclaiming.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
 
 from . import __version__
@@ -186,6 +189,8 @@ def _continuous_entry(
         entry["zero_time_note"] = law.zero_time_note
     if manifest is not None:
         ts = [float(v) for v in np.random.default_rng([seed, 202]).uniform(0.01, 5.0, 10)]
+        # every eigenvector is checked at the same times: build each map once
+        family = dataclasses.replace(family, builder=functools.lru_cache(None)(family.builder))
         checks = []
         for value, basis, phases in zip(
             manifest.expected_spectrum,

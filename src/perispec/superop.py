@@ -21,11 +21,11 @@ from .algebra import (
     BlockAlgebra,
     Tolerances,
     adjoint,
+    column_space,
     devectorize,
     element_norm,
-    general_eigenvalues,
+    general_eig,
     hermitian_eig,
-    jordan_product,
     max_norm,
     null_space,
     scalar_multiple_of_identity,
@@ -259,24 +259,32 @@ def _sort_key(z: complex) -> tuple[float, float]:
 
 def _cluster_values(
     values: Sequence[complex], radius: float
-) -> list[tuple[complex, float]]:
-    """Greedy merge of complex values within ``radius``; returns (mean, spread)
-    per cluster sorted by the (real, imaginary) part of the mean."""
-    clusters: list[list[complex]] = []
-    for v in sorted(values, key=_sort_key):
+) -> list[tuple[complex, float, list[int]]]:
+    """Greedy merge of complex values within ``radius``; returns (mean,
+    spread, member indices into ``values``) per cluster sorted by the (real,
+    imaginary) part of the mean."""
+    clusters: list[list[int]] = []
+    order = sorted(range(len(values)), key=lambda k: _sort_key(values[k]))
+    for k in order:
         for cluster in clusters:
-            mean = sum(cluster) / len(cluster)
-            if abs(v - mean) <= radius:
-                cluster.append(v)
+            mean = sum(values[m] for m in cluster) / len(cluster)
+            if abs(values[k] - mean) <= radius:
+                cluster.append(k)
                 break
         else:
-            clusters.append([v])
-    merged = [
-        (mean, max(abs(v - mean) for v in c))
-        for c in clusters
-        for mean in (sum(c) / len(c),)
-    ]
-    return sorted(merged, key=lambda pair: _sort_key(pair[0]))
+            clusters.append([k])
+    merged = []
+    for cluster in clusters:
+        mean = sum(values[m] for m in cluster) / len(cluster)
+        merged.append((mean, max(abs(values[m] - mean) for m in cluster), cluster))
+    return sorted(merged, key=lambda entry: _sort_key(entry[0]))
+
+
+def _row_drift(phi: Superoperator, rows: np.ndarray, values) -> np.ndarray:
+    """Per row x of vectorizations, the largest entry of phi(x) - value * x;
+    ``values`` holds one value per row or one for all rows."""
+    drift = rows @ phi.matrix.T - np.reshape(values, (-1, 1)) * rows
+    return np.max(np.abs(drift), axis=1)
 
 
 def point_spectrum(
@@ -287,34 +295,39 @@ def point_spectrum(
 ) -> PointSpectrum:
     """Peripheral eigenvalues of the map with orthonormal eigenspace bases.
 
-    Eigenvalues within ``peripheral_tol`` of the unit circle are kept,
-    numerically split copies within ``merge_tol`` of each other are merged,
-    and each eigenspace is the kernel of (matrix - lambda id). Every returned
-    basis element is re-verified as an eigenvector.
+    One dense eigendecomposition gives every eigenvalue and eigenvector.
+    Eigenvalues within ``peripheral_tol`` of the unit circle are kept and
+    numerically split copies within ``merge_tol`` of each other are merged.
+    Each cluster's eigenvector columns are orthonormalized together and
+    re-verified with one residual check. When they lose rank or fail the
+    check, as at a defective eigenvalue, the eigenspace is recomputed as the
+    kernel of (matrix - lambda id) and verified the same way.
     """
-    eigenvalues = general_eigenvalues(phi.matrix)
-    peripheral = [complex(v) for v in eigenvalues if abs(abs(v) - 1.0) <= peripheral_tol]
+    eigenvalues, eigenvectors = general_eig(phi.matrix)
+    keep = [k for k, v in enumerate(eigenvalues) if abs(abs(v) - 1.0) <= peripheral_tol]
+    peripheral = [complex(eigenvalues[k]) for k in keep]
+    bound = max(tol.eq_tol, 10.0 * tol.rank_tol)
     points = []
-    eye = np.eye(phi.algebra.dim)
-    for value, spread in _cluster_values(peripheral, merge_tol):
-        # merged clusters need an absolute singular-value floor: each member
-        # direction sits at distance |v - mean| <= spread from the kernel
-        floor = spread + tol.rank_tol * max(1.0, spread)
-        kernel = null_space(phi.matrix - value * eye, tol, atol=floor)
-        if not kernel:
-            raise ConvergenceFailure(
-                f"eigenvalue {value!r} reported but its eigenspace came back empty"
-            )
-        basis = []
-        for vec in kernel:
-            x = devectorize(phi.algebra, vec)
-            residual = element_norm(apply(phi, x) - value * x)
-            if residual > max(tol.eq_tol, 10.0 * tol.rank_tol):
+    for value, spread, members in _cluster_values(peripheral, merge_tol):
+        basis = column_space(eigenvectors[:, [keep[m] for m in members]], tol)
+        if basis.shape[1] < len(members) or _row_drift(phi, basis.T, value).max() > bound:
+            # merged clusters need an absolute singular-value floor: each member
+            # direction sits at distance |v - mean| <= spread from the kernel
+            floor = spread + tol.rank_tol * max(1.0, spread)
+            kernel = null_space(phi.matrix - value * np.eye(phi.algebra.dim), tol, atol=floor)
+            if not kernel:
                 raise ConvergenceFailure(
-                    f"eigenvector drift {residual:.3e} at eigenvalue {value!r}"
+                    f"eigenvalue {value!r} reported but its eigenspace came back empty"
                 )
-            basis.append(x)
-        points.append(SpectralPoint(value, tuple(basis)))
+            basis = np.column_stack(kernel)
+            drift = _row_drift(phi, basis.T, value).max()
+            if drift > bound:
+                raise ConvergenceFailure(
+                    f"eigenvector drift {drift:.3e} at eigenvalue {value!r}"
+                )
+        points.append(
+            SpectralPoint(value, tuple(devectorize(phi.algebra, v) for v in basis.T))
+        )
     return PointSpectrum(tuple(points))
 
 
@@ -377,6 +390,34 @@ def invariant_state(
     return InvariantState(rho=rho, faithful=least > tol.rank_tol)
 
 
+def _stacked_eigenvectors(
+    spectrum: PointSpectrum, algebra: BlockAlgebra
+) -> tuple[list[tuple[complex, int]], np.ndarray, np.ndarray]:
+    """Every basis vector of the spectrum in order: (value, index) labels,
+    eigenvalues, and vectorizations as the rows of one array."""
+    labels = [(p.value, i) for p in spectrum.points for i in range(p.dimension)]
+    values = np.array([value for value, _ in labels], dtype=np.complex128)
+    rows = np.array(
+        [vectorize(x) for p in spectrum.points for x in p.basis], dtype=np.complex128
+    ).reshape(len(labels), algebra.dim)
+    return labels, values, rows
+
+
+def _block_stacks(algebra: BlockAlgebra, rows: np.ndarray) -> list[np.ndarray]:
+    """Per block, the (count, n, n) stack of that block of each row."""
+    stacks = []
+    offset = 0
+    for n in algebra.blocks:
+        stacks.append(rows[:, offset : offset + n * n].reshape(-1, n, n))
+        offset += n * n
+    return stacks
+
+
+def _stacked_vectors(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Inverse of :func:`_block_stacks`."""
+    return np.concatenate([s.reshape(len(s), -1) for s in stacks], axis=1)
+
+
 def star_closure_check(
     phi: Superoperator,
     spectrum: PointSpectrum | None = None,
@@ -386,17 +427,13 @@ def star_closure_check(
     eigenvalue."""
     if spectrum is None:
         spectrum = point_spectrum(phi, tol)
-    entries = []
-    worst = 0.0
-    for point in spectrum.points:
-        for index, x in enumerate(point.basis):
-            xs = adjoint(x)
-            residual = element_norm(
-                apply(phi, xs) - complex(point.value).conjugate() * xs
-            )
-            worst = max(worst, residual)
-            entries.append((point.value, index, residual))
-    return StarClosureReport(max_residual=worst, entries=tuple(entries))
+    labels, values, rows = _stacked_eigenvectors(spectrum, phi.algebra)
+    adjoints = _stacked_vectors(
+        [s.conj().transpose(0, 2, 1) for s in _block_stacks(phi.algebra, rows)]
+    )
+    residuals = _row_drift(phi, adjoints, values.conj()).tolist()
+    entries = tuple((value, i, r) for (value, i), r in zip(labels, residuals))
+    return StarClosureReport(max_residual=max(residuals, default=0.0), entries=entries)
 
 
 def jordan_closure_check(
@@ -405,25 +442,36 @@ def jordan_closure_check(
     tol: Tolerances = DEFAULT_TOL,
 ) -> JordanClosureReport:
     """Check that symmetrized products of eigenvectors are eigenvectors at the
-    product eigenvalue; vanishing products close vacuously."""
+    product eigenvalue; vanishing products close vacuously.
+
+    Entries run over ordered pairs of basis vectors. The product is
+    symmetric, so each pair is computed once, one row of products at a time.
+    """
     if spectrum is None:
         spectrum = point_spectrum(phi, tol)
-    entries = []
-    worst = 0.0
-    for p1 in spectrum.points:
-        for i, x in enumerate(p1.basis):
-            for p2 in spectrum.points:
-                for j, y in enumerate(p2.basis):
-                    product = jordan_product(x, y)
-                    vanished = element_norm(product) <= tol.eq_tol
-                    residual = element_norm(
-                        apply(phi, product) - p1.value * p2.value * product
-                    )
-                    worst = max(worst, residual)
-                    entries.append(
-                        (p1.value, i, p2.value, j, residual, vanished)
-                    )
-    return JordanClosureReport(max_residual=worst, entries=tuple(entries))
+    labels, values, rows = _stacked_eigenvectors(spectrum, phi.algebra)
+    stacks = _block_stacks(phi.algebra, rows)
+    count = len(labels)
+    residual = np.zeros((count, count))
+    vanished = np.zeros((count, count), dtype=bool)
+    for a in range(count):
+        rest = slice(a, count)
+        products = _stacked_vectors(
+            [0.5 * (s[a] @ s[rest] + s[rest] @ s[a]) for s in stacks]
+        )
+        residual[a, rest] = residual[rest, a] = _row_drift(
+            phi, products, values[a] * values[rest]
+        )
+        vanished[a, rest] = vanished[rest, a] = (
+            np.max(np.abs(products), axis=1) <= tol.eq_tol
+        )
+    entries = tuple(
+        (*labels[a], *labels[b], r, v)
+        for a, (r_row, v_row) in enumerate(zip(residual.tolist(), vanished.tolist()))
+        for b, (r, v) in enumerate(zip(r_row, v_row))
+    )
+    worst = float(residual.max()) if count else 0.0
+    return JordanClosureReport(max_residual=worst, entries=entries)
 
 
 def group_closure_report(

@@ -8,6 +8,8 @@ from perispec import (
     ContinuousFamily,
     NoPositiveFixedState,
     Superoperator,
+    adjoint,
+    apply,
     build_example1,
     build_example1_continuous,
     build_example2,
@@ -19,11 +21,14 @@ from perispec import (
     ergodicity_check,
     from_action,
     from_basis_action,
+    general_eigenvalues,
     group_closure_report,
     identity_superoperator,
     invariant_state,
     jordan_closure_check,
+    jordan_product,
     max_norm,
+    null_space,
     point_spectrum,
     power,
     semigroup_law_check,
@@ -31,9 +36,10 @@ from perispec import (
     unitality_check,
     vectorize,
 )
+from perispec import superop
 from perispec.superop import PointSpectrum, SpectralPoint
 
-from conftest import random_element, rng_for
+from conftest import random_element, random_unitary, rng_for
 
 GENERIC = np.exp(2j * np.pi / 5)
 
@@ -153,6 +159,193 @@ def test_jordan_closure_counts_vanishing_products(tol):
     report = jordan_closure_check(phi, point_spectrum(phi, tol), tol)
     assert report.max_residual < 1e-12
     assert report.vanished_count > 0
+
+
+CUBE_ROOT = np.exp(2j * np.pi / 3)
+
+
+def _kron_conjugation(u: np.ndarray) -> Superoperator:
+    # row-major vectorization: vec(u x u*) = kron(u, conj(u)) vec(x)
+    return Superoperator(BlockAlgebra((len(u),)), np.kron(u, u.conj()))
+
+
+def _seeded_conjugation(n: int) -> Superoperator:
+    return _kron_conjugation(random_unitary(rng_for(40, n), n))
+
+
+def _seeded_mixed_unitary(n: int) -> Superoperator:
+    rng = rng_for(41, n)
+    weights = rng.dirichlet(np.ones(3))
+    return Superoperator(
+        BlockAlgebra((n,)),
+        sum(
+            w * _kron_conjugation(random_unitary(rng, n)).matrix for w in weights
+        ),
+    )
+
+
+SPECTRUM_MAPS = {
+    **{
+        f"ex1-{name}": (lambda lam=lam: build_example1(lam)[0])
+        for name, lam in [
+            ("generic", GENERIC),
+            ("minus-one", -1.0),
+            ("cube-root", CUBE_ROOT),
+            ("cube-root-conj", np.conj(CUBE_ROOT)),
+            ("i", 1j),
+            ("minus-i", -1j),
+        ]
+    },
+    **{
+        f"ex2-{name}": (lambda lam=lam: build_example2(lam)[0])
+        for name, lam in [
+            ("generic", GENERIC),
+            ("cube-root", CUBE_ROOT),
+            ("cube-root-conj", np.conj(CUBE_ROOT)),
+            ("i", 1j),
+            ("minus-i", -1j),
+        ]
+    },
+    "psi-swap": lambda: build_psi_swap()[0],
+    **{f"conjugation-n{n}": (lambda n=n: _seeded_conjugation(n)) for n in (3, 4, 5, 6)},
+    "mixed-unitary-n4": lambda: _seeded_mixed_unitary(4),
+}
+
+
+def _null_space_spectrum(phi, tol):
+    """Reference peripheral spectrum: one SVD of (matrix - lambda id) per
+    cluster of eigenvalues, as (value, basis columns) pairs."""
+    values = [
+        complex(v)
+        for v in general_eigenvalues(phi.matrix)
+        if abs(abs(v) - 1.0) <= superop.PERIPHERAL_TOL
+    ]
+    points = []
+    for value, spread, _ in superop._cluster_values(values, superop.MERGE_TOL):
+        floor = spread + tol.rank_tol * max(1.0, spread)
+        kernel = null_space(phi.matrix - value * np.eye(phi.algebra.dim), tol, atol=floor)
+        points.append((value, np.column_stack(kernel)))
+    return points
+
+
+def _basis_columns(point: SpectralPoint) -> np.ndarray:
+    return np.column_stack([vectorize(x) for x in point.basis])
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_MAPS))
+def test_point_spectrum_matches_null_space_reference(name, tol):
+    phi = SPECTRUM_MAPS[name]()
+    spectrum = point_spectrum(phi, tol)
+    reference = _null_space_spectrum(phi, tol)
+    assert len(spectrum.points) == len(reference)
+    for point, (value, kernel) in zip(spectrum.points, reference):
+        assert abs(point.value - value) <= 1e-12
+        assert point.dimension == kernel.shape[1]
+        q = _basis_columns(point)
+        assert max_norm(q.conj().T @ q - np.eye(point.dimension)) <= 1e-12
+        assert max_norm(phi.matrix @ q - point.value * q) <= 1e-7
+        assert max_norm(q @ q.conj().T - kernel @ kernel.conj().T) <= 1e-9
+
+
+def test_point_spectrum_falls_back_to_null_space_at_a_jordan_block(monkeypatch, tol):
+    # 1, a 2x2 Jordan block at i and a decaying 1/2, in a seeded unitary frame
+    m = np.diag([1.0, 1j, 1j, 0.5])
+    m[1, 2] = 1.0
+    q = random_unitary(rng_for(42), 4)
+    phi = Superoperator(BlockAlgebra((1, 1, 1, 1)), q @ m @ q.conj().T)
+    fallbacks = []
+
+    def counted_null_space(*args, **kwargs):
+        fallbacks.append(args[0])
+        return null_space(*args, **kwargs)
+
+    monkeypatch.setattr(superop, "null_space", counted_null_space)
+    spectrum = point_spectrum(phi, tol)
+    assert len(fallbacks) == 1
+    point = spectrum.find(1j)
+    assert point is not None
+    assert point.dimension == 1
+    x = point.basis[0]
+    assert element_norm(phi(x) - complex(point.value) * x) <= 1e-12
+    assert spectrum.find(1.0).dimension == 1
+
+
+def _spectrum_with_eigenvectors(phi):
+    return phi, point_spectrum(phi)
+
+
+def _random_map_and_vectors():
+    """A random map on Mat(2) + Mat(3) with non-eigenvectors as the basis, so
+    that residuals are of order one; the nilpotent unit squares to zero."""
+    algebra = BlockAlgebra((2, 3))
+    rng = rng_for(43)
+    phi = Superoperator(algebra, rng.standard_normal((algebra.dim, algebra.dim)))
+    nilpotent = algebra.element([np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((3, 3))])
+    spectrum = PointSpectrum(
+        (
+            SpectralPoint(1.0 + 0.0j, (random_element(algebra, rng), nilpotent)),
+            SpectralPoint(complex(GENERIC), (random_element(algebra, rng),)),
+        )
+    )
+    return phi, spectrum
+
+
+CLOSURE_CASES = {
+    "ex2-generic": lambda: _spectrum_with_eigenvectors(build_example2(GENERIC)[0]),
+    "ex2-i": lambda: _spectrum_with_eigenvectors(build_example2(1j)[0]),
+    "conjugation-n4": lambda: _spectrum_with_eigenvectors(_seeded_conjugation(4)),
+    "random-two-block": _random_map_and_vectors,
+}
+
+
+def _star_reference(phi, spectrum):
+    """Per-vector loop: adjoint, apply, residual against the conjugate value."""
+    entries = []
+    for point in spectrum.points:
+        for index, x in enumerate(point.basis):
+            xs = adjoint(x)
+            drift = apply(phi, xs) - complex(point.value).conjugate() * xs
+            entries.append((point.value, index, element_norm(drift)))
+    return entries
+
+
+def _jordan_reference(phi, spectrum, tol):
+    """Per-pair loop over all ordered pairs of basis vectors."""
+    entries = []
+    for p1 in spectrum.points:
+        for i, x in enumerate(p1.basis):
+            for p2 in spectrum.points:
+                for j, y in enumerate(p2.basis):
+                    product = jordan_product(x, y)
+                    drift = apply(phi, product) - p1.value * p2.value * product
+                    vanished = element_norm(product) <= tol.eq_tol
+                    entries.append(
+                        (p1.value, i, p2.value, j, element_norm(drift), vanished)
+                    )
+    return entries
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_CASES))
+def test_batched_closure_checks_match_per_pair_loops(name, tol):
+    phi, spectrum = CLOSURE_CASES[name]()
+
+    star = star_closure_check(phi, spectrum, tol)
+    expected = _star_reference(phi, spectrum)
+    assert [e[:2] for e in star.entries] == [e[:2] for e in expected]
+    for got, want in zip(star.entries, expected):
+        assert abs(got[2] - want[2]) <= 1e-12
+    assert star.max_residual == max(e[2] for e in star.entries)
+    assert abs(star.max_residual - max(e[2] for e in expected)) <= 1e-12
+
+    jordan = jordan_closure_check(phi, spectrum, tol)
+    expected = _jordan_reference(phi, spectrum, tol)
+    assert [e[:4] for e in jordan.entries] == [e[:4] for e in expected]
+    for got, want in zip(jordan.entries, expected):
+        assert abs(got[4] - want[4]) <= 1e-12
+    assert [e[5] for e in jordan.entries] == [e[5] for e in expected]
+    assert jordan.vanished_count == sum(1 for e in expected if e[5])
+    assert jordan.max_residual == max(e[4] for e in jordan.entries)
+    assert abs(jordan.max_residual - max(e[4] for e in expected)) <= 1e-12
 
 
 def _spectrum_of(*values: complex) -> PointSpectrum:
