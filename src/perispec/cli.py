@@ -22,8 +22,6 @@ import cmath
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .algebra import Tolerances, devectorize, vectorize
 from .analysis import STANDARD_SAMPLES, analyze, classification_entry, tolerances_entry
 from .errors import (
@@ -47,7 +45,7 @@ from .positivity import (
     EpsilonSchedule,
     PositivityVerdict,
     assemble,
-    choi_matrix,
+    complete_positivity,
     congruence,
     corner_swap,
     criterion_commuting,
@@ -104,7 +102,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42,
                         help="seed for all sampling (default 42)")
     parser.add_argument("--samples", type=int, default=STANDARD_SAMPLES,
-                        help=f"falsifier sample count (default {STANDARD_SAMPLES})")
+                        help="most pure inputs the positivity falsifier evaluates "
+                        f"(default {STANDARD_SAMPLES})")
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output (reports are already JSON; "
@@ -306,13 +305,12 @@ def cmd_positivity(args: argparse.Namespace) -> int:
 def cmd_choi(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     loaded = load_map_file(args.mapfile, t=args.t)
-    choi = choi_matrix(loaded.phi)
-    w = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
+    choi, least, completely_positive = complete_positivity(loaded.phi, tol)
     report = {
         "algebra": {"blocks": list(loaded.phi.algebra.blocks)},
         "choi": matrix_to_json(choi),
-        "min_eigenvalue": float(w[0]),
-        "completely_positive": bool(w[0] >= -tol.psd_tol),
+        "min_eigenvalue": least,
+        "completely_positive": completely_positive,
     }
     _emit(dump_json(report), args.out)
     return 0

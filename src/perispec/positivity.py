@@ -9,33 +9,34 @@ so the two routes can cross-validate each other.
 Complete positivity of a map on a single full matrix block is decided through
 its Choi matrix, assembled with row-major tensor ordering: the (i, j) outer
 block of the Choi matrix is the image of the matrix unit E_ij.
+
+Plain positivity of a map is probed, not proved, by a seesaw descent over
+pure inputs, one piece of the map from an input block to an output block at a
+time; any negative output eigenvalue it finds comes with its input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
     DEFAULT_TOL,
     AlgebraElement,
-    BlockAlgebra,
     Tolerances,
     devectorize,
     hermitian_eig,
     max_norm,
-    vectorize,
 )
 from .errors import (
     CommutationViolated,
     DimensionMismatch,
     HypothesesViolated,
     MultiBlockUnsupported,
-    NotHermitian,
     NotPSDInput,
 )
-from .superop import Superoperator, apply
+from .superop import Superoperator
 
 __all__ = [
     "Block2Matrix",
@@ -52,10 +53,15 @@ __all__ = [
     "congruence",
     "offdiag_swap_under_hypotheses",
     "choi_matrix",
+    "complete_positivity",
     "randomized_positivity_falsifier",
 ]
 
-_FALSIFIER_CHUNK = 512
+# Seeded unit vectors run together per piece of a map by the seesaw
+# falsifier, and the improvement, relative to the piece's largest entry, below
+# which a run stops.
+_SEESAW_STARTS = 16
+_SEESAW_RTOL = 1e-12
 
 
 def _square(m) -> np.ndarray:
@@ -128,11 +134,15 @@ class PositivityVerdict:
 
 @dataclass(frozen=True)
 class FalsifierResult:
-    """Outcome of randomized positivity probing.
+    """Outcome of seesaw positivity probing.
 
-    ``min_output_eig`` is the smallest output eigenvalue seen over all
-    sampled positive trace-one inputs; ``worst_input`` is the sample that
-    achieved it. A clean sweep is evidence, not proof, of positivity.
+    ``worst_input`` is the best pure trace-one state x x* found, supported on
+    one block, and ``min_output_eig`` is the least eigenvalue of the Hermitian
+    part of the map's output at it, so a failed verdict carries its witness.
+    ``samples`` counts the pure inputs evaluated, never more than the budget;
+    ``max_hermiticity_defect`` is the largest deviation of any of their
+    outputs from being Hermitian. A clean sweep is evidence, not proof, of
+    positivity.
     """
 
     min_output_eig: float
@@ -331,40 +341,74 @@ def offdiag_swap_under_hypotheses(
 def choi_matrix(phi: Superoperator) -> np.ndarray:
     """Choi matrix of a map on a single full matrix block.
 
-    Assembled as the sum over matrix units of kron(E_ij, phi(E_ij)); the map
-    is completely positive exactly when this matrix is PSD.
+    The sum over matrix units of kron(E_ij, phi(E_ij)), read off the map
+    matrix by one reshape: the (i, j) outer block is the image of E_ij, the
+    column i n + j of the matrix. The map is completely positive exactly when
+    this matrix is PSD.
     """
     if len(phi.algebra.blocks) != 1:
         raise MultiBlockUnsupported("the Choi matrix is defined per full matrix block")
     n = phi.algebra.blocks[0]
-    choi = np.zeros((n * n, n * n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n))
-            unit[i, j] = 1.0
-            image = apply(phi, phi.algebra.element([unit])).parts[0]
-            choi[i * n : (i + 1) * n, j * n : (j + 1) * n] = image
-    return choi
+    return phi.matrix.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
 
 
-def _chunk_min_eigs(
-    phi: Superoperator, vecs: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Least output eigenvalue per sampled input row, plus the largest
-    deviation of any output from being Hermitian."""
-    out = vecs @ phi.matrix.T
-    count = vecs.shape[0]
-    mins = np.full(count, np.inf)
-    herm_defect = 0.0
-    offset = 0
-    for n in phi.algebra.blocks:
-        block = out[:, offset : offset + n * n].reshape(count, n, n)
-        offset += n * n
-        dag = block.conj().transpose(0, 2, 1)
-        herm_defect = max(herm_defect, float(np.max(np.abs(block - dag))))
-        w = np.linalg.eigvalsh(0.5 * (block + dag))
-        mins = np.minimum(mins, w[:, 0])
-    return mins, herm_defect
+def complete_positivity(
+    phi: Superoperator, tol: Tolerances = DEFAULT_TOL
+) -> tuple[np.ndarray, float, bool]:
+    """Choi matrix of a single-block map, the least eigenvalue of its
+    Hermitian part, and whether that eigenvalue is >= -psd_tol, that is
+    whether the map is completely positive."""
+    choi = choi_matrix(phi)
+    w, _ = hermitian_eig(0.5 * (choi + choi.conj().T), tol)
+    least = float(w[0])
+    return choi, least, least >= -tol.psd_tol
+
+
+def _least_eigenpairs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Least eigenvalue and unit eigenvector of the Hermitian part of each row
+    read as an n x n matrix, plus the rows' largest Hermiticity defect."""
+    m = rows.reshape(-1, n, n)
+    dag = m.conj().transpose(0, 2, 1)
+    w, v = np.linalg.eigh(0.5 * (m + dag))
+    return w[:, 0], v[:, :, 0], float(np.max(np.abs(m - dag)))
+
+
+def _pure_states(x: np.ndarray) -> np.ndarray:
+    """Row-major vectorizations of x x* for each unit row x."""
+    return (x[:, :, None] * x.conj()[:, None, :]).reshape(x.shape[0], -1)
+
+
+def _seesaw_piece(
+    piece: np.ndarray, n_in: int, n_out: int, budget: int, rng: np.random.Generator
+) -> tuple[float, np.ndarray, int, float]:
+    """Alternating least-eigenvector descent on one piece of a map.
+
+    Returns the least output eigenvalue found, the unit input vector that
+    reached it, the number of pure inputs evaluated, and the largest
+    Hermiticity defect of their outputs.
+    """
+    starts = min(_SEESAW_STARTS, budget)
+    x = rng.standard_normal((starts, n_in)) + 1j * rng.standard_normal((starts, n_in))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    values, y, defect = _least_eigenpairs(_pure_states(x) @ piece.T, n_out)
+    used = starts
+    k = int(np.argmin(values))
+    best, best_x = float(values[k]), x[k]
+    threshold = _SEESAW_RTOL * max_norm(piece)
+    while used + starts <= budget:
+        # Phi-dagger is the conjugate transpose: the vectorization is orthonormal
+        _, x, _ = _least_eigenpairs(_pure_states(y) @ piece.conj(), n_in)
+        new_values, y, step_defect = _least_eigenpairs(_pure_states(x) @ piece.T, n_out)
+        used += starts
+        defect = max(defect, step_defect)
+        k = int(np.argmin(new_values))
+        if new_values[k] < best:
+            best, best_x = float(new_values[k]), x[k]
+        improvement = float(np.max(values - new_values))
+        values = new_values
+        if improvement <= threshold:
+            break
+    return best, best_x, used, defect
 
 
 def randomized_positivity_falsifier(
@@ -373,47 +417,55 @@ def randomized_positivity_falsifier(
     seed: int = 42,
     tol: Tolerances = DEFAULT_TOL,
 ) -> FalsifierResult:
-    """Probe positivity of a map with random positive trace-one inputs.
+    """Probe positivity of a map by seesaw descent over pure inputs.
 
-    Inputs are blockwise Wishart matrices g g* normalized to unit total
-    trace. The sample index range is split into fixed chunks whose generators
-    are derived from (seed, chunk index), so results do not depend on how the
-    chunks are scheduled. Non-Hermitian outputs are symmetrized before the
-    eigenvalue check and the worst deviation is reported.
+    The least output eigenvalue is concave in the input and the map is
+    linear, so its minimum over positive trace-one inputs is reached at a
+    pure state x x* in one input block j, read on one output block i. For
+    each piece (j, i) of the map, seeded unit vectors drawn from
+    ``default_rng([seed, j, i])`` descend together: y becomes the least
+    eigenvector of Phi_ij(x x*), then x the least eigenvector of
+    Phi_ij^dagger(y y*), until no start improves by more than a fixed
+    tolerance relative to the piece's largest entry. ``samples`` caps the
+    number of pure inputs evaluated over all pieces. Non-Hermitian outputs are
+    symmetrized before each eigenvalue step and the worst deviation is
+    reported.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     algebra = phi.algebra
-    best_min = np.inf
-    best_vec: np.ndarray | None = None
+    blocks = algebra.blocks
+    offsets = np.cumsum([0] + [n * n for n in blocks])
+    pieces = [(j, i) for j in range(len(blocks)) for i in range(len(blocks))]
+    used = 0
     worst_defect = 0.0
-    for chunk_index, start in enumerate(range(0, samples, _FALSIFIER_CHUNK)):
-        count = min(_FALSIFIER_CHUNK, samples - start)
-        rng = np.random.default_rng([seed, chunk_index])
-        parts = []
-        for n in algebra.blocks:
-            g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal(
-                (count, n, n)
-            )
-            parts.append(g @ g.conj().transpose(0, 2, 1))
-        traces = sum(
-            np.trace(p, axis1=1, axis2=2).real for p in parts
-        )
-        vecs = np.concatenate(
-            [(p / traces[:, None, None]).reshape(count, -1) for p in parts], axis=1
-        )
-        mins, defect = _chunk_min_eigs(phi, vecs)
+    found = []
+    for index, (j, i) in enumerate(pieces):
+        # what one piece leaves unused goes to the pieces after it
+        left = len(pieces) - index
+        budget = (samples - used + left - 1) // left
+        if budget == 0:
+            continue
+        piece = phi.matrix[offsets[i] : offsets[i + 1], offsets[j] : offsets[j + 1]]
+        rng = np.random.default_rng([seed, j, i])
+        value, x, count, defect = _seesaw_piece(piece, blocks[j], blocks[i], budget, rng)
+        used += count
         worst_defect = max(worst_defect, defect)
-        k = int(np.argmin(mins))
-        if mins[k] < best_min:
-            best_min = float(mins[k])
-            best_vec = vecs[k]
-    assert best_vec is not None
+        found.append((value, j, x))
+    _, j, x = min(found, key=lambda entry: entry[0])
+    vec = np.zeros(algebra.dim, dtype=np.complex128)
+    vec[offsets[j] : offsets[j + 1]] = _pure_states(x[None, :])[0]
+    out = phi.matrix @ vec
+    least = np.inf
+    for i, n in enumerate(blocks):
+        w, _, defect = _least_eigenpairs(out[offsets[i] : offsets[i + 1]], n)
+        least = min(least, float(w[0]))
+        worst_defect = max(worst_defect, defect)
     return FalsifierResult(
-        min_output_eig=best_min,
-        worst_input=devectorize(algebra, best_vec),
-        samples=samples,
+        min_output_eig=least,
+        worst_input=devectorize(algebra, vec),
+        samples=used,
         seed=seed,
-        passed=best_min >= -tol.psd_tol,
+        passed=least >= -tol.psd_tol,
         max_hermiticity_defect=worst_defect,
     )

@@ -28,7 +28,7 @@ from .errors import PerispecError
 from .positivity import (
     Block2Matrix,
     assemble,
-    choi_matrix,
+    complete_positivity,
     congruence,
     corner_swap,
     criterion_commuting,
@@ -175,11 +175,8 @@ def criterion_03(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
         )
         falsifier = randomized_positivity_falsifier(phi, samples, seed, tol)
         worst["falsifier_min"] = min(worst["falsifier_min"], falsifier.min_output_eig)
-        choi = choi_matrix(phi)
-        w, _ = hermitian_eig(0.5 * (choi + choi.conj().T), tol)
-        worst["choi_deviation"] = max(
-            worst["choi_deviation"], abs(float(w[0]) - (-0.5))
-        )
+        _, least, _ = complete_positivity(phi, tol)
+        worst["choi_deviation"] = max(worst["choi_deviation"], abs(least - (-0.5)))
     passed = (
         all_ergodic
         and all_faithful

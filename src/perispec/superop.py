@@ -484,17 +484,29 @@ def group_closure_report(
     failure is listed.
     """
     values = list(spectrum.values)
-
-    def present(z: complex) -> bool:
-        return any(abs(z - v) <= closure_tol for v in values)
-
-    has_identity = present(1.0 + 0.0j)
-    conjugation_closed = all(present(v.conjugate()) for v in values)
-    missing = []
-    for lam in values:
-        for mu in values:
-            if not present(lam * mu):
-                missing.append((lam, mu, lam * mu))
+    k = len(values)
+    v = np.array(values, dtype=np.complex128)
+    # real arithmetic rounds each product exactly as Python's lam * mu does
+    products = np.empty((k, k), dtype=np.complex128)
+    products.real = v.real[:, None] * v.real - v.imag[:, None] * v.imag
+    products.imag = v.real[:, None] * v.imag + v.imag[:, None] * v.real
+    queries = np.concatenate([[1.0 + 0.0j], v.conj(), products.ravel()])
+    # every value within closure_tol of a query has its real part inside this
+    # window, widened so that rounding cannot push one out
+    ordered = np.sort(v)  # by real part first
+    lo = np.searchsorted(ordered.real, queries.real - 2.0 * closure_tol, "left")
+    hi = np.searchsorted(ordered.real, queries.real + 2.0 * closure_tol, "right")
+    present = np.zeros(len(queries), dtype=bool)
+    for offset in range(int(np.max(hi - lo))):
+        index = lo + offset
+        inside = index < hi
+        present[inside] |= np.abs(queries[inside] - ordered[index[inside]]) <= closure_tol
+    has_identity = bool(present[0])
+    conjugation_closed = bool(np.all(present[1 : k + 1]))
+    missing = [
+        (values[a], values[b], values[a] * values[b])
+        for a, b in zip(*np.nonzero(~present[k + 1 :].reshape(k, k)))
+    ]
     is_group = has_identity and conjugation_closed and not missing
     return GroupClosureReport(
         is_group=is_group,

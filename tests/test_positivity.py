@@ -18,6 +18,7 @@ from perispec import (
     assemble,
     build_example1,
     choi_matrix,
+    complete_positivity,
     congruence,
     corner_swap,
     criterion_commuting,
@@ -28,6 +29,7 @@ from perispec import (
     offdiag_swap_under_hypotheses,
     oracle_psd,
     randomized_positivity_falsifier,
+    vectorize,
 )
 
 from conftest import random_complex, random_psd, random_unitary, rng_for
@@ -256,6 +258,33 @@ def test_choi_matrix_frozen_single_block_example():
     assert np.allclose(w, [-0.5, 0.5, 0.5, 1.5], atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_choi_matrix_equals_the_matrix_unit_loop(n):
+    algebra = BlockAlgebra((n,))
+    phi = Superoperator(algebra, random_complex(rng_for(64, n), n * n, n * n))
+    expected = np.zeros((n * n, n * n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            unit = np.zeros((n, n))
+            unit[i, j] = 1.0
+            image = phi(algebra.element([unit])).parts[0]
+            expected[i * n : (i + 1) * n, j * n : (j + 1) * n] = image
+    assert np.array_equal(choi_matrix(phi), expected)
+
+
+def test_complete_positivity_verdicts():
+    phi, _, _ = build_example1(np.exp(2j * np.pi / 5))
+    choi, least, completely_positive = complete_positivity(phi)
+    assert np.array_equal(choi, choi_matrix(phi))
+    assert least == pytest.approx(-0.5, abs=1e-12)
+    assert not completely_positive
+    _, least, completely_positive = complete_positivity(
+        identity_superoperator(BlockAlgebra((3,)))
+    )
+    assert least == pytest.approx(0.0, abs=1e-12)
+    assert completely_positive
+
+
 def test_choi_matrix_rejects_multi_block_algebras():
     algebra = BlockAlgebra((2, 2))
     with pytest.raises(MultiBlockUnsupported):
@@ -284,6 +313,177 @@ def test_falsifier_finds_negative_output_of_non_positive_map():
     result = randomized_positivity_falsifier(leaky, samples=1000, seed=42)
     assert not result.passed
     assert result.min_output_eig < -0.05
+
+
+# The ex1 off-diagonal scaled by 1 + delta at the benchmark's two fixed
+# lambda0: a pure state maps to [[1/2, k b], [conj(k b), 1/2]] with |b| <= 1/2
+# and |k| = 1 + delta, so the least output eigenvalue is exactly -delta / 2.
+SCALED_LAMBDAS = (np.exp(2j * np.pi / 5), np.exp(2j * np.pi * 3 / 7))
+
+
+def _scaled_example1(lam: complex, delta: float) -> Superoperator:
+    phi, _, _ = build_example1(lam)
+    matrix = phi.matrix.copy()
+    matrix[1, 1] *= 1.0 + delta
+    matrix[2, 2] *= 1.0 + delta
+    return Superoperator(phi.algebra, matrix)
+
+
+def _reduction(algebra: BlockAlgebra, delta: float) -> Superoperator:
+    """tr(x) 1 - (1 + delta) x, whose least output on pure states is -delta."""
+    n = algebra.blocks[0]
+    return from_action(
+        algebra,
+        lambda x: algebra.element([x.trace() * np.eye(n) - (1.0 + delta) * x.parts[0]]),
+    )
+
+
+def _wishart_reference(phi: Superoperator, samples: int, seed: int) -> float:
+    """Least output eigenvalue over blockwise Wishart inputs g g* of unit total
+    trace, in chunks of 512 seeded by (seed, chunk index): the falsifier's
+    former sampling loop."""
+    blocks = phi.algebra.blocks
+    best = np.inf
+    for chunk, start in enumerate(range(0, samples, 512)):
+        count = min(512, samples - start)
+        rng = np.random.default_rng([seed, chunk])
+        parts = []
+        for n in blocks:
+            g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+            parts.append(g @ g.conj().transpose(0, 2, 1))
+        traces = sum(np.trace(p, axis1=1, axis2=2).real for p in parts)
+        vecs = np.concatenate(
+            [(p / traces[:, None, None]).reshape(count, -1) for p in parts], axis=1
+        )
+        out = vecs @ phi.matrix.T
+        offset = 0
+        for n in blocks:
+            block = out[:, offset : offset + n * n].reshape(count, n, n)
+            offset += n * n
+            w = np.linalg.eigvalsh(0.5 * (block + block.conj().transpose(0, 2, 1)))
+            best = min(best, float(w[:, 0].min()))
+    return best
+
+
+def _random_hermiticity_preserving(algebra: BlockAlgebra, rng) -> Superoperator:
+    """Difference of two random completely positive maps between all blocks."""
+    blocks = algebra.blocks
+    kraus = {
+        (j, i): [
+            (random_complex(rng, ni, nj), 0.5 * random_complex(rng, ni, nj))
+            for _ in range(2)
+        ]
+        for j, nj in enumerate(blocks)
+        for i, ni in enumerate(blocks)
+    }
+
+    def action(x):
+        parts = []
+        for i, ni in enumerate(blocks):
+            y = np.zeros((ni, ni), dtype=np.complex128)
+            for j, xj in enumerate(x.parts):
+                for a, b in kraus[j, i]:
+                    y += a @ xj @ a.conj().T - b @ xj @ b.conj().T
+            parts.append(y)
+        return algebra.element(parts)
+
+    return from_action(algebra, action)
+
+
+@pytest.mark.parametrize("lam", SCALED_LAMBDAS)
+def test_seesaw_fails_ex1_scaled_past_positivity(lam):
+    result = randomized_positivity_falsifier(_scaled_example1(lam, 1e-4))
+    assert not result.passed
+    assert abs(result.min_output_eig - (-5e-5)) <= 1e-9
+
+
+@pytest.mark.parametrize("lam", SCALED_LAMBDAS)
+def test_seesaw_passes_ex1_scaled_short_of_the_boundary(lam):
+    result = randomized_positivity_falsifier(_scaled_example1(lam, -1e-4))
+    assert result.passed
+    assert result.min_output_eig == pytest.approx(5e-5, abs=1e-9)
+
+
+def test_seesaw_finds_the_reduction_map_minimum():
+    delta = 1e-3
+    result = randomized_positivity_falsifier(_reduction(BlockAlgebra((3,)), delta))
+    assert not result.passed
+    assert result.min_output_eig == pytest.approx(-delta, abs=1e-12)
+
+
+def test_seesaw_finds_the_one_negative_piece_between_blocks():
+    """Block 0 goes to itself and, through the reduction map, to block 1;
+    block 1 goes to its own trace. Only the piece 0 -> 1 is not positive."""
+    algebra = BlockAlgebra((2, 3))
+    delta = 1e-3
+    v = np.linalg.qr(random_complex(rng_for(60), 3, 2))[0]
+    phi = from_action(
+        algebra,
+        lambda x: algebra.element(
+            [
+                x.parts[0],
+                np.trace(x.parts[0]) * np.eye(3)
+                - (1.0 + delta) * v @ x.parts[0] @ v.conj().T
+                + np.trace(x.parts[1]) * np.eye(3) / 3.0,
+            ]
+        ),
+    )
+    result = randomized_positivity_falsifier(phi)
+    assert not result.passed
+    assert result.min_output_eig == pytest.approx(-delta, abs=1e-12)
+    assert np.all(result.worst_input.parts[1] == 0.0)
+
+
+@pytest.mark.parametrize("blocks", [(2,), (3,), (2, 3)])
+def test_seesaw_witness_is_a_pure_state_in_one_block(blocks):
+    algebra = BlockAlgebra(blocks)
+    phi = _random_hermiticity_preserving(algebra, rng_for(61, *blocks))
+    result = randomized_positivity_falsifier(phi, samples=3000, seed=5)
+    rho = result.worst_input
+    support = [k for k, part in enumerate(rho.parts) if np.any(part != 0.0)]
+    assert len(support) == 1
+    part = rho.parts[support[0]]
+    assert np.trace(part).real == pytest.approx(1.0, abs=1e-12)
+    w = np.linalg.eigvalsh(part)
+    assert w[-1] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.abs(w[:-1]) <= 1e-12)
+    image = phi(rho)
+    least = min(
+        np.linalg.eigvalsh(0.5 * (p + p.conj().T))[0] for p in image.parts
+    )
+    assert least == pytest.approx(result.min_output_eig, abs=1e-12)
+    assert not result.passed
+
+
+@pytest.mark.parametrize("samples", [1, 5, 17, 100, 10000])
+@pytest.mark.parametrize("blocks", [(2,), (1, 1), (2, 3)])
+def test_seesaw_is_deterministic_and_keeps_its_budget(blocks, samples):
+    algebra = BlockAlgebra(blocks)
+    phi = _random_hermiticity_preserving(algebra, rng_for(62, *blocks))
+    first = randomized_positivity_falsifier(phi, samples=samples, seed=11)
+    second = randomized_positivity_falsifier(phi, samples=samples, seed=11)
+    assert 1 <= first.samples <= samples
+    assert first.samples == second.samples
+    assert first.min_output_eig == second.min_output_eig
+    assert first.max_hermiticity_defect == second.max_hermiticity_defect
+    for a, b in zip(first.worst_input.parts, second.worst_input.parts):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("blocks", [(2,), (3,), (2, 2), (2, 3)])
+def test_seesaw_minimum_never_above_the_wishart_reference(blocks, index):
+    algebra = BlockAlgebra(blocks)
+    rng = rng_for(63, index, *blocks)
+    phi = _random_hermiticity_preserving(algebra, rng)
+    if index % 2:
+        # shift to just below positivity, where sampled mixed inputs miss
+        # by (least + 1e-4) tr(x) 1, where tr(x) = <vec(1), vec(x)>
+        least = randomized_positivity_falsifier(phi, seed=index).min_output_eig
+        one = vectorize(algebra.identity())
+        phi = Superoperator(algebra, phi.matrix - (least + 1e-4) * np.outer(one, one))
+    seesaw = randomized_positivity_falsifier(phi, seed=index).min_output_eig
+    assert seesaw <= _wishart_reference(phi, 2000, index) + 1e-12
 
 
 @settings(max_examples=20, deadline=None)

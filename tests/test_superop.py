@@ -380,6 +380,51 @@ def test_group_closure_reports_structural_reasons():
     )
 
 
+def _group_closure_loop(spectrum, closure_tol=superop.MERGE_TOL):
+    """Per-pair reference: scan every value for each product."""
+    values = list(spectrum.values)
+
+    def present(z):
+        return any(abs(z - v) <= closure_tol for v in values)
+
+    missing = tuple(
+        (lam, mu, lam * mu) for lam in values for mu in values if not present(lam * mu)
+    )
+    has_identity = present(1.0 + 0.0j)
+    conjugation_closed = all(present(v.conjugate()) for v in values)
+    is_group = has_identity and conjugation_closed and not missing
+    return is_group, has_identity, conjugation_closed, missing
+
+
+def _values_near_the_radius():
+    # each cube root and a copy of it at 0.5, 0.99, 1.01 and 2 merge radii in
+    # several directions, so products land on both sides of the radius
+    values = []
+    for k in range(3):
+        root = np.exp(2j * np.pi * k / 3)
+        values.append(complex(root))
+        for scale, angle in [(0.5, 0.3), (0.99, 2.0), (1.01, 4.0), (2.0, 5.5)]:
+            values.append(complex(root + scale * superop.MERGE_TOL * np.exp(1j * angle)))
+    return _spectrum_of(*sorted(values, key=lambda v: (v.real, v.imag)))
+
+
+GROUP_CASES = {
+    "ex1-generic": lambda: point_spectrum(build_example1(GENERIC)[0]),
+    "ex2-generic": lambda: point_spectrum(build_example2(GENERIC)[0]),
+    "conjugation-n6": lambda: point_spectrum(_seeded_conjugation(6)),
+    "near-the-radius": _values_near_the_radius,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_CASES))
+def test_group_closure_matches_the_per_pair_loop(name):
+    spectrum = GROUP_CASES[name]()
+    report = group_closure_report(spectrum)
+    got = (report.is_group, report.has_identity, report.conjugation_closed, report.missing)
+    assert got == _group_closure_loop(spectrum)
+    assert report.missing
+
+
 def test_cyclic_phase_conjugation_spectrum_is_a_group(tol):
     n = 3
     omega = np.exp(2j * np.pi / n)
