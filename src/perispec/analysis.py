@@ -15,7 +15,7 @@ import functools
 import numpy as np
 
 from . import __version__
-from .algebra import DEFAULT_TOL, Tolerances
+from .algebra import DEFAULT_TOL, Tolerances, max_norm
 from .errors import MultiBlockUnsupported, PerispecError
 from .mapfile import complex_to_pair, element_to_json
 from .positivity import complete_positivity, randomized_positivity_falsifier
@@ -164,7 +164,6 @@ def _closure_entry(
 def _continuous_entry(
     family: ContinuousFamily,
     manifest: ExampleManifest | None,
-    snapshot: Superoperator,
     t: float,
     seed: int,
     tol: Tolerances,
@@ -178,11 +177,12 @@ def _continuous_entry(
         "seed": int(seed),
         "semigroup_max_residual": float(law.max_residual),
         "semigroup_pairs": len(pairs),
-        "identity_at_zero": bool(family.identity_at_zero),
+        "identity_at_zero": bool(
+            max_norm(family.builder(0.0).matrix - np.eye(family.algebra.dim))
+            <= tol.eq_tol
+        ),
         "snapshot_t": float(t),
     }
-    if law.identity_residual_at_zero is not None:
-        entry["identity_residual_at_zero"] = float(law.identity_residual_at_zero)
     if law.zero_time_note is not None:
         entry["zero_time_note"] = law.zero_time_note
     if manifest is not None:
@@ -251,6 +251,6 @@ def analyze(
     }
     if family is not None:
         report["continuous"] = _continuous_entry(
-            family, manifest, phi, 1.0 if t is None else t, seed, tol
+            family, manifest, 1.0 if t is None else t, seed, tol
         )
     return report

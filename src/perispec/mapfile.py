@@ -157,8 +157,8 @@ def _parse_algebra(obj) -> BlockAlgebra:
     return BlockAlgebra(tuple(blocks))
 
 
-def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMap:
-    """Load and validate a map file (path or already-parsed document)."""
+def _read_document(source: str | Path | dict, key: str) -> tuple[dict, dict]:
+    """The document (path or already-parsed) and its top-level ``key`` object."""
     if isinstance(source, dict):
         document = source
     else:
@@ -169,11 +169,17 @@ def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMa
             document = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise MapFileError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(document, dict) or "map" not in document:
-        raise MapFileError("a map file must be an object with a map entry")
-    stanza = document["map"]
+    if not isinstance(document, dict) or key not in document:
+        raise MapFileError(f"a {key} file must be an object with a {key} entry")
+    stanza = document[key]
     if not isinstance(stanza, dict):
-        raise MapFileError("map must be an object")
+        raise MapFileError(f"{key} must be an object")
+    return document, stanza
+
+
+def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMap:
+    """Load and validate a map file (path or already-parsed document)."""
+    document, stanza = _read_document(source, "map")
     if ("superop" in stanza) == ("preset" in stanza):
         raise MapFileError("map must contain exactly one of superop or preset")
     if "preset" in stanza:
@@ -219,21 +225,7 @@ def load_block2_file(
     source: str | Path | dict,
 ) -> tuple[Block2Matrix, np.ndarray | None, np.ndarray | None]:
     """Load a block 2x2 matrix file, returning optional congruence factors."""
-    if isinstance(source, dict):
-        document = source
-    else:
-        path = Path(source)
-        if not path.exists():
-            raise MapFileError(f"no such file: {path}")
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise MapFileError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(document, dict) or "block2" not in document:
-        raise MapFileError("a block2 file must be an object with a block2 entry")
-    stanza = document["block2"]
-    if not isinstance(stanza, dict):
-        raise MapFileError("block2 must be an object")
+    _, stanza = _read_document(source, "block2")
     missing = [k for k in ("a", "b", "c", "d") if k not in stanza]
     if missing:
         raise MapFileError(f"block2 is missing entries {missing}")

@@ -17,7 +17,7 @@ time; any negative output eigenvalue it finds comes with its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,17 +171,18 @@ def oracle_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PositivityVerdic
     return PositivityVerdict(False, witness)
 
 
-def _psd_part_check(name: str, m: np.ndarray, tol: Tolerances) -> PositivityVerdict | None:
-    verdict = oracle_psd(m, tol)
+def _oracle_check(
+    h: np.ndarray, tol: Tolerances, reason: str, **fields
+) -> PositivityVerdict | None:
+    """None when :func:`oracle_psd` accepts h; otherwise its verdict with the
+    witness restated under ``reason``, in which ``{oracle}`` stands for the
+    oracle's own reason, and with ``fields`` added."""
+    verdict = oracle_psd(h, tol)
     if verdict.is_psd:
         return None
     assert verdict.witness is not None
-    witness = PositivityWitness(
-        reason=f"diagonal block {name} not PSD: {verdict.witness.reason}",
-        vector=verdict.witness.vector,
-        quadratic_form=verdict.witness.quadratic_form,
-    )
-    return PositivityVerdict(False, witness)
+    reason = reason.format(oracle=verdict.witness.reason)
+    return PositivityVerdict(False, replace(verdict.witness, reason=reason, **fields))
 
 
 def _offdiag_mismatch(m: Block2Matrix, tol: Tolerances) -> PositivityVerdict | None:
@@ -192,10 +193,14 @@ def _offdiag_mismatch(m: Block2Matrix, tol: Tolerances) -> PositivityVerdict | N
     return PositivityVerdict(False, witness)
 
 
-def _regularized_inverse(h: np.ndarray, eps: float, tol: Tolerances) -> np.ndarray:
-    """Hermitian inverse of h + eps 1, built from the eigendecomposition."""
-    w, v = hermitian_eig(h, tol)
-    return (v * (1.0 / (w + eps))) @ v.conj().T
+def _block_prelude(m: Block2Matrix, tol: Tolerances) -> PositivityVerdict | None:
+    """The conditions every criterion shares: a and d PSD, and c = b*. Returns
+    the first that fails, or None."""
+    return (
+        _oracle_check(m.a, tol, "diagonal block a not PSD: {oracle}")
+        or _oracle_check(m.d, tol, "diagonal block d not PSD: {oracle}")
+        or _offdiag_mismatch(m, tol)
+    )
 
 
 def _schur_family(
@@ -207,34 +212,24 @@ def _schur_family(
     """Shared body of the two epsilon criteria.
 
     In the plain orientation the defect is d - b*(a + eps)^(-1) b; mirrored
-    swaps the roles of the corners: a - b (d + eps)^(-1) b*.
+    swaps the roles of the corners: a - b (d + eps)^(-1) b*. One
+    eigendecomposition of the regularized corner serves every epsilon.
     """
-    for check in (
-        _psd_part_check("a", m.a, tol),
-        _psd_part_check("d", m.d, tol),
-        _offdiag_mismatch(m, tol),
-    ):
-        if check is not None:
-            return check
+    failed = _block_prelude(m, tol)
+    if failed is not None:
+        return failed
+    w, v = hermitian_eig(m.d if mirrored else m.a, tol)
     for eps in schedule.values:
+        inv = (v * (1.0 / (w + eps))) @ v.conj().T
         if mirrored:
-            inv = _regularized_inverse(m.d, eps, tol)
             defect = m.a - m.b @ inv @ m.b.conj().T
         else:
-            inv = _regularized_inverse(m.a, eps, tol)
             defect = m.d - m.b.conj().T @ inv @ m.b
         defect = 0.5 * (defect + defect.conj().T)
-        verdict = oracle_psd(defect, tol)
-        if not verdict.is_psd:
-            assert verdict.witness is not None
-            witness = PositivityWitness(
-                reason=f"Schur defect not PSD at epsilon={eps:g}",
-                vector=verdict.witness.vector,
-                quadratic_form=verdict.witness.quadratic_form,
-                epsilon=eps,
-                defect=defect,
-            )
-            return PositivityVerdict(False, witness)
+        reason = f"Schur defect not PSD at epsilon={eps:g}"
+        failed = _oracle_check(defect, tol, reason, epsilon=eps, defect=defect)
+        if failed is not None:
+            return failed
     return PositivityVerdict(True)
 
 
@@ -266,26 +261,13 @@ def criterion_commuting(
     scale = max(1.0, max_norm(m.a) * max_norm(m.d))
     if defect > tol.eq_tol * scale:
         raise CommutationViolated(f"a and d do not commute, defect {defect:.3e}")
-    for check in (
-        _psd_part_check("a", m.a, tol),
-        _psd_part_check("d", m.d, tol),
-        _offdiag_mismatch(m, tol),
-    ):
-        if check is not None:
-            return check
+    failed = _block_prelude(m, tol)
+    if failed is not None:
+        return failed
     product = m.a @ m.d - m.b.conj().T @ m.b
     product = 0.5 * (product + product.conj().T)
-    verdict = oracle_psd(product, tol)
-    if not verdict.is_psd:
-        assert verdict.witness is not None
-        witness = PositivityWitness(
-            reason="a d - b* b not PSD",
-            vector=verdict.witness.vector,
-            quadratic_form=verdict.witness.quadratic_form,
-            defect=product,
-        )
-        return PositivityVerdict(False, witness)
-    return PositivityVerdict(True)
+    failed = _oracle_check(product, tol, "a d - b* b not PSD", defect=product)
+    return PositivityVerdict(True) if failed is None else failed
 
 
 def corner_swap(m: Block2Matrix) -> Block2Matrix:

@@ -38,6 +38,7 @@ from .superop import (
     ContinuousFamily,
     InvariantState,
     Superoperator,
+    _cluster_values,
     from_action,
 )
 
@@ -129,16 +130,13 @@ def _require_unit_modulus(lambda0: complex) -> complex:
 
 
 def _sorted_manifest_rows(rows):
-    """Group (value, tag, element, phase) rows by merged eigenvalue and sort."""
-    groups: list[list] = []
-    for row in rows:
-        for group in groups:
-            if abs(group[0][0] - row[0]) <= MERGE_TOL:
-                group.append(row)
-                break
-        else:
-            groups.append([row])
-    groups.sort(key=lambda g: (round(g[0][0].real, 12), round(g[0][0].imag, 12)))
+    """Group (value, tag, element, phase) rows by merged eigenvalue and sort.
+
+    Rows merge by the rule that merges computed spectra; each group keeps its
+    rows in the given order and the closed-form value of its first row.
+    """
+    clusters = _cluster_values([row[0] for row in rows], MERGE_TOL)
+    groups = [[rows[k] for k in sorted(members)] for _, _, members in clusters]
     spectrum = tuple(g[0][0] for g in groups)
     dims = tuple(len(g) for g in groups)
     tags = tuple(tuple(entry[1] for entry in g) for g in groups)
@@ -166,6 +164,14 @@ def _example1_superoperator(lam: complex) -> Superoperator:
     return Superoperator(_EX1_ALGEBRA, matrix)
 
 
+def _example1_lambda0(lambda0: complex) -> complex:
+    """lambda0 as the one-block family accepts it: unit modulus, not 1."""
+    lambda0 = _require_unit_modulus(lambda0)
+    if abs(lambda0 - 1.0) <= MERGE_TOL:
+        raise BadLambda0("lambda0 = 1 degenerates the family; pick lambda0 != 1")
+    return lambda0
+
+
 def _example1_group_regime(lambda0: complex) -> bool:
     return abs(lambda0**3 - 1.0) <= MERGE_TOL or abs(lambda0 + 1.0) <= MERGE_TOL
 
@@ -180,9 +186,7 @@ def build_example1(
     {1, lambda0, conj(lambda0)}, a group only when lambda0 is -1 or a cube
     root of unity.
     """
-    lambda0 = _require_unit_modulus(lambda0)
-    if abs(lambda0 - 1.0) <= MERGE_TOL:
-        raise BadLambda0("lambda0 = 1 degenerates the family; pick lambda0 != 1")
+    lambda0 = _example1_lambda0(lambda0)
     phi = _example1_superoperator(lambda0)
     algebra = phi.algebra
     state = InvariantState(
@@ -219,9 +223,7 @@ def build_example1(
 def build_example1_continuous(lambda0: complex) -> ContinuousFamily:
     """One-parameter version: the off-diagonal rotation is raised to the
     power t; the diagonal averaging does not depend on t."""
-    lambda0 = _require_unit_modulus(lambda0)
-    if abs(lambda0 - 1.0) <= MERGE_TOL:
-        raise BadLambda0("lambda0 = 1 degenerates the family; pick lambda0 != 1")
+    lambda0 = _example1_lambda0(lambda0)
 
     def builder(t: float) -> Superoperator:
         return _example1_superoperator(unit_phase_power(lambda0, t))
@@ -229,7 +231,6 @@ def build_example1_continuous(lambda0: complex) -> ContinuousFamily:
     return ContinuousFamily(
         algebra=_EX1_ALGEBRA,
         builder=builder,
-        identity_at_zero=False,
         zero_time_note=_ZERO_TIME_NOTE,
     )
 
@@ -303,6 +304,18 @@ def _ex2_element(top: np.ndarray | None, bottom: np.ndarray | None, diag=None):
     return _EX2_ALGEBRA.element(parts)
 
 
+def _example2_lambda0(lambda0: complex) -> complex:
+    """lambda0 as the two-block family accepts it: unit modulus, not +-1."""
+    lambda0 = _require_unit_modulus(lambda0)
+    for excluded in (1.0, -1.0):
+        if abs(lambda0 - excluded) <= MERGE_TOL:
+            raise BadLambda0(
+                f"lambda0 = {excluded:g} collides with the sign sector; "
+                "pick lambda0 off the real axis"
+            )
+    return lambda0
+
+
 def _example2_regime(lambda0: complex) -> str:
     if abs(lambda0 - 1j) <= MERGE_TOL or abs(lambda0 + 1j) <= MERGE_TOL:
         return "merged"
@@ -320,13 +333,7 @@ def build_example2(lambda0: complex) -> tuple[Superoperator, ExampleManifest]:
     two-dimensional eigenspaces and the spectrum becomes the group
     {1, -1, i, -i}.
     """
-    lambda0 = _require_unit_modulus(lambda0)
-    for excluded in (1.0, -1.0):
-        if abs(lambda0 - excluded) <= MERGE_TOL:
-            raise BadLambda0(
-                f"lambda0 = {excluded:g} collides with the sign sector; "
-                "pick lambda0 off the real axis"
-            )
+    lambda0 = _example2_lambda0(lambda0)
     phi = _example2_superoperator(lambda0, 0.0, 1.0)
     ones = np.array([1.0, 1.0])
     sign = np.array([1.0, -1.0])
@@ -362,13 +369,7 @@ def build_example2(lambda0: complex) -> tuple[Superoperator, ExampleManifest]:
 def build_example2_continuous(lambda0: complex) -> ContinuousFamily:
     """One-parameter version: both the swap and the off-diagonal rotation are
     raised to the power t; the diagonal averaging does not depend on t."""
-    lambda0 = _require_unit_modulus(lambda0)
-    for excluded in (1.0, -1.0):
-        if abs(lambda0 - excluded) <= MERGE_TOL:
-            raise BadLambda0(
-                f"lambda0 = {excluded:g} collides with the sign sector; "
-                "pick lambda0 off the real axis"
-            )
+    lambda0 = _example2_lambda0(lambda0)
 
     def builder(t: float) -> Superoperator:
         w = unit_phase_power(-1.0 + 0.0j, t)
@@ -379,7 +380,6 @@ def build_example2_continuous(lambda0: complex) -> ContinuousFamily:
     return ContinuousFamily(
         algebra=_EX2_ALGEBRA,
         builder=builder,
-        identity_at_zero=False,
         zero_time_note=_ZERO_TIME_NOTE,
     )
 

@@ -178,14 +178,13 @@ class GroupClosureReport:
 class ContinuousFamily:
     """One-parameter family t -> superoperator on a fixed algebra.
 
-    ``identity_at_zero`` records whether the family starts at the identity
-    map; families that average part of the input independently of t do not,
-    and carry an explanatory note instead of being repaired.
+    Families that do not start at the identity map, because they average part
+    of the input independently of t, carry an explanatory note instead of
+    being repaired.
     """
 
     algebra: BlockAlgebra
     builder: Callable[[float], Superoperator]
-    identity_at_zero: bool = True
     zero_time_note: str | None = None
 
 
@@ -195,7 +194,6 @@ class SemigroupLawReport:
 
     max_residual: float
     pairs: tuple[tuple[float, float, float], ...]
-    identity_residual_at_zero: float | None
     zero_time_note: str | None
 
 
@@ -521,12 +519,8 @@ def semigroup_law_check(
     pairs: Sequence[tuple[float, float]],
     tol: Tolerances = DEFAULT_TOL,
 ) -> SemigroupLawReport:
-    """Residuals of the semigroup law over the given (s, t) pairs.
-
-    When the family claims to start at the identity, the residual of
-    builder(0) against the identity matrix is included; otherwise the
-    family's own note on its time-zero behavior is passed through.
-    """
+    """Residuals of the semigroup law over the given (s, t) pairs, with the
+    family's own note on its time-zero behavior passed through."""
     entries = []
     worst = 0.0
     for s, t in pairs:
@@ -535,16 +529,9 @@ def semigroup_law_check(
         residual = max_norm(lhs - rhs)
         worst = max(worst, residual)
         entries.append((float(s), float(t), residual))
-    identity_residual = None
-    if family.identity_at_zero:
-        identity_residual = max_norm(
-            family.builder(0.0).matrix - np.eye(family.algebra.dim)
-        )
-        worst = max(worst, identity_residual)
     return SemigroupLawReport(
         max_residual=worst,
         pairs=tuple(entries),
-        identity_residual_at_zero=identity_residual,
         zero_time_note=family.zero_time_note,
     )
 

@@ -192,6 +192,34 @@ def test_positivity_transforms_report_result_blocks(tmp_path, capsys):
         assert set(report["result"]) == {"a", "b", "c", "d"}
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # no file at all
+        "not json at all",
+        "[1, 2]",
+        '{"map": {}}',
+        '{"block2": [1, 2]}',
+        '{"block2": {"a": [[1]], "b": [[0]], "c": [[0]]}}',
+    ],
+    ids=["missing", "invalid-json", "top-level-list", "no-block2", "not-object", "no-d"],
+)
+def test_malformed_block2_files_exit_two(tmp_path, capsys, content):
+    path = tmp_path / "block.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["positivity", str(path)]) == 2
+    assert "MapFileError" in capsys.readouterr().err
+
+
+def test_suite_json_reports_every_criterion(capsys):
+    assert main(["suite", "--json", "--samples", "2000"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["all_passed"] is True
+    assert document["confidence"] == "reduced"
+    assert [c["id"] for c in document["criteria"]] == [f"c{k:02d}" for k in range(1, 11)]
+
+
 def test_example_command_round_trips_through_the_loader(tmp_path, capsys):
     assert main(["example", "ex1", "--angle", "72", "--json"]) == 0
     document = json.loads(capsys.readouterr().out)

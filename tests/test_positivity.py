@@ -13,6 +13,8 @@ from perispec import (
     HypothesesViolated,
     MultiBlockUnsupported,
     NotPSDInput,
+    PositivityVerdict,
+    PositivityWitness,
     Superoperator,
     Tolerances,
     assemble,
@@ -129,6 +131,84 @@ def test_schur_criteria_agree_with_oracle_seeded(make_indefinite):
         reference = oracle_psd(matrix, AGREEMENT_TOL).is_psd
         assert criterion_epsilon(m, tol=AGREEMENT_TOL).is_psd == reference
         assert criterion_epsilon_prime(m, tol=AGREEMENT_TOL).is_psd == reference
+
+
+def _schur_reference(
+    m: Block2Matrix, tol: Tolerances, mirrored: bool
+) -> PositivityVerdict:
+    """The epsilon criteria as first written: the prelude and each witness
+    spelled out, and the regularized corner decomposed again per epsilon."""
+    for name, corner in (("a", m.a), ("d", m.d)):
+        verdict = oracle_psd(corner, tol)
+        if not verdict.is_psd:
+            witness = PositivityWitness(
+                reason=f"diagonal block {name} not PSD: {verdict.witness.reason}",
+                vector=verdict.witness.vector,
+                quadratic_form=verdict.witness.quadratic_form,
+            )
+            return PositivityVerdict(False, witness)
+    mismatch = np.max(np.abs(m.c - m.b.conj().T))
+    if mismatch > tol.eq_tol * max(1.0, np.max(np.abs(m.b))):
+        return PositivityVerdict(
+            False, PositivityWitness(reason=f"c differs from b* by {mismatch:.3e}")
+        )
+    for eps in EpsilonSchedule().values:
+        w, v = np.linalg.eigh(m.d if mirrored else m.a)
+        inv = (v * (1.0 / (w + eps))) @ v.conj().T
+        if mirrored:
+            defect = m.a - m.b @ inv @ m.b.conj().T
+        else:
+            defect = m.d - m.b.conj().T @ inv @ m.b
+        defect = 0.5 * (defect + defect.conj().T)
+        verdict = oracle_psd(defect, tol)
+        if not verdict.is_psd:
+            witness = PositivityWitness(
+                reason=f"Schur defect not PSD at epsilon={eps:g}",
+                vector=verdict.witness.vector,
+                quadratic_form=verdict.witness.quadratic_form,
+                epsilon=eps,
+                defect=defect,
+            )
+            return PositivityVerdict(False, witness)
+    return PositivityVerdict(True)
+
+
+def _schur_inputs(rng, count: int):
+    """PSD corners with off-diagonal blocks of growing size (so some fail at a
+    late epsilon), rank-deficient corners, and whole matrices shifted to be
+    indefinite (so some fail the prelude)."""
+    for k in range(count):
+        n = int(rng.integers(1, 5))
+        a, d = random_psd(rng, n), random_psd(rng, n)
+        if k % 3 == 1:
+            a[:, 0] = a[0, :] = 0.0
+        b = (0.2 + 0.1 * (k % 20)) * random_complex(rng, n, n)
+        yield Block2Matrix(a, b, b.conj().T, d)
+        matrix = random_psd(rng, 2 * n)
+        matrix -= (0.3 * k / count) * np.trace(matrix).real / n * np.eye(2 * n)
+        yield _split(matrix)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_schur_criteria_match_the_per_epsilon_reference(mirrored):
+    criterion = criterion_epsilon_prime if mirrored else criterion_epsilon
+    outcomes = set()
+    for m in _schur_inputs(rng_for(12, int(mirrored)), 200):
+        got = criterion(m, tol=AGREEMENT_TOL)
+        expected = _schur_reference(m, AGREEMENT_TOL, mirrored)
+        assert got.is_psd == expected.is_psd
+        if got.is_psd:
+            outcomes.add("psd")
+            continue
+        g, e = got.witness, expected.witness
+        assert (g.reason, g.epsilon) == (e.reason, e.epsilon)
+        for field in ("vector", "quadratic_form", "defect"):
+            assert np.array_equal(getattr(g, field), getattr(e, field))
+        outcomes.add(g.reason.split(" ")[0] if g.epsilon is None else g.epsilon)
+    # every route is taken: PSD, each kind of prelude failure, and the
+    # Schur defect failing at more than one epsilon
+    assert {"psd", "diagonal"} <= outcomes
+    assert len([o for o in outcomes if isinstance(o, float)]) >= 2
 
 
 def test_commuting_criterion_diagonal_frozen_cases():

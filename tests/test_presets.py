@@ -5,6 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
+from perispec import presets
 from perispec import (
     BadLambda0,
     BlockAlgebra,
@@ -22,6 +23,7 @@ from perispec import (
     semigroup_law_check,
     unit_phase_power,
     unitality_check,
+    vectorize,
 )
 
 GENERIC = cmath.exp(2j * cmath.pi / 5)
@@ -57,11 +59,97 @@ def test_unit_phase_power_uses_principal_branch_between_integers():
         (build_example2, 1.0 + 0.0j),
         (build_example2, -1.0 + 0.0j),
         (build_example2, 0.3 + 0.4j),
+        (build_example1_continuous, 1.0 + 0.0j),
+        (build_example1_continuous, 0.5 + 0.0j),
+        (build_example1_continuous, 1.1j),
+        (build_example2_continuous, 1.0 + 0.0j),
+        (build_example2_continuous, -1.0 + 0.0j),
+        (build_example2_continuous, 0.3 + 0.4j),
     ],
 )
 def test_builders_reject_invalid_rotation_parameters(build, bad):
-    with pytest.raises(BadLambda0):
+    with pytest.raises(BadLambda0) as raised:
         build(bad)
+    # a continuous builder rejects what its single builder rejects, in its words
+    single = {
+        build_example1_continuous: build_example1,
+        build_example2_continuous: build_example2,
+    }.get(build, build)
+    with pytest.raises(BadLambda0) as expected:
+        single(bad)
+    assert str(raised.value) == str(expected.value)
+
+
+def _first_member_rows(rows):
+    """Manifest grouping as first written: a row joins the first group whose
+    first row lies within the merge radius, and groups sort by that row."""
+    groups: list[list] = []
+    for row in rows:
+        for group in groups:
+            if abs(group[0][0] - row[0]) <= presets.MERGE_TOL:
+                group.append(row)
+                break
+        else:
+            groups.append([row])
+    groups.sort(key=lambda g: (round(g[0][0].real, 12), round(g[0][0].imag, 12)))
+    return (
+        tuple(g[0][0] for g in groups),
+        tuple(len(g) for g in groups),
+        tuple(tuple(entry[1] for entry in g) for g in groups),
+        tuple(tuple(entry[2] for entry in g) for g in groups),
+        tuple(tuple(entry[3] for entry in g) for g in groups),
+    )
+
+
+def _lambda0_grid() -> list[complex]:
+    """Every half degree and the benchmark's special angles, computed as the
+    benchmark computes them, and the exact values +-1, +-i and
+    exp(2 pi i / 3)."""
+    degrees = [k / 2 for k in range(720)] + [90.0, 120.0, 180.0, 240.0, 270.0]
+    grid = [complex(np.cos(np.deg2rad(d)), np.sin(np.deg2rad(d))) for d in degrees]
+    return grid + [1.0 + 0.0j, -1.0 + 0.0j, 1j, -1j, cmath.exp(2j * cmath.pi / 3)]
+
+
+@pytest.mark.parametrize("build", [build_example1, build_example2])
+def test_manifest_grouping_matches_the_first_member_reference(build, monkeypatch):
+    built = []
+    for grouping in (presets._sorted_manifest_rows, _first_member_rows):
+        monkeypatch.setattr(presets, "_sorted_manifest_rows", grouping)
+        manifests = []
+        for lam in _lambda0_grid():
+            try:
+                manifests.append(build(lam)[-1])
+            except BadLambda0:
+                manifests.append(None)
+        built.append(manifests)
+    merged = 0
+    for got, expected in zip(*built):
+        assert (got is None) == (expected is None)
+        if got is None:
+            continue
+        for field in (
+            "expected_spectrum",
+            "expected_dims",
+            "expected_classifications",
+            "continuous_phases",
+            "notes",
+        ):
+            assert getattr(got, field) == getattr(expected, field)
+        for xs, ys in zip(got.canonical_eigenvectors, expected.canonical_eigenvectors):
+            assert all(np.array_equal(vectorize(x), vectorize(y)) for x, y in zip(xs, ys))
+        merged += len(got.expected_dims) < sum(got.expected_dims)
+    assert merged >= 2
+
+
+@pytest.mark.parametrize("offset", [1e-9, 3e-8, -1e-8])
+def test_manifest_order_follows_point_spectrum_inside_the_merge_radius(offset):
+    # just off i the merged points' real parts differ by 2e-9 to 6e-8, which
+    # the first-member rule sorted by and the computed spectrum does not
+    lam = 1j * cmath.exp(1j * offset)
+    phi, manifest = build_example2(lam)
+    computed = point_spectrum(phi).points
+    assert manifest.expected_dims == tuple(p.dimension for p in computed)
+    assert _values_match([p.value for p in computed], manifest.expected_spectrum, 1e-7)
 
 
 def test_example1_matrix_is_frozen_literal():
@@ -171,7 +259,6 @@ def test_continuous_families_interpolate_the_discrete_maps(
     report = semigroup_law_check(family, [(0.4, 0.6), (1.5, 2.5)], tol)
     assert report.max_residual < 1e-12
     # time zero projects onto the diagonal instead of starting at the identity
-    assert not family.identity_at_zero
     assert family.zero_time_note is not None
     ident = np.eye(family.algebra.dim)
     assert max_norm(family.builder(0.0).matrix - ident) > 0.4

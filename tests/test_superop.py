@@ -37,6 +37,7 @@ from perispec import (
     vectorize,
 )
 from perispec import superop
+from perispec.analysis import analyze
 from perispec.superop import PointSpectrum, SpectralPoint
 
 from conftest import random_element, random_unitary, rng_for
@@ -444,7 +445,6 @@ def test_semigroup_law_holds_for_continuous_families(tol):
     ):
         report = semigroup_law_check(family, pairs, tol)
         assert report.max_residual < 1e-12
-        assert report.identity_residual_at_zero is None
         assert report.zero_time_note is not None
 
 
@@ -455,6 +455,18 @@ def test_semigroup_law_detects_violations(mat2, tol):
     )
     report = semigroup_law_check(broken, [(1.0, 1.0)], tol)
     assert report.max_residual > 0.1
+
+
+def test_analyze_reports_whether_a_family_starts_at_the_identity(mat2, tol):
+    phases = np.array([0.0, 1.0])
+    family = ContinuousFamily(
+        mat2, lambda t: _conjugation(mat2, np.diag(np.exp(1j * t * phases)))
+    )
+    report = analyze(family.builder(1.0), tol, samples=100, family=family)
+    continuous = report["continuous"]
+    assert continuous["identity_at_zero"] is True
+    assert continuous["semigroup_max_residual"] < 1e-12
+    assert "zero_time_note" not in continuous
 
 
 def test_continuous_eigen_check_uses_principal_phase_by_default(tol):
