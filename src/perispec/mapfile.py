@@ -3,8 +3,11 @@
 A map file holds an algebra and either an explicit superoperator matrix or a
 preset stanza naming a built-in family. Complex numbers are encoded as
 [real, imaginary] pairs; matrices as row-major nested lists of those pairs.
-All serialization is deterministic: keys are sorted and every number is a
-plain Python float.
+Well-formed numeric matrices are converted by numpy in one pass; anything
+else goes through a per-entry parser that names the offending entry.
+All serialization is deterministic: keys are sorted, every number is a
+plain Python float, and the C JSON encoder renders every value that is not
+an object, or a list holding one, on a single line.
 """
 
 from __future__ import annotations
@@ -48,16 +51,38 @@ def complex_to_pair(z: complex) -> list[float]:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[complex_to_pair(entry) for entry in row] for row in np.asarray(m)]
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def element_to_json(x: AlgebraElement) -> list:
     return [matrix_to_json(p) for p in x.parts]
 
 
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
+def _render(value, indent: str) -> str:
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{_encode(key)}: {_render(value[key], inner)}" for key in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)) and any(isinstance(v, dict) for v in value):
+        items = [_render(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        return _encode(value)
+    body = ",\n".join(inner + item for item in items)
+    return f"{brackets[0]}\n{body}\n{indent}{brackets[1]}"
+
+
 def dump_json(document: dict) -> str:
-    """Canonical rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical rendering with a trailing newline. Keys, which must be
+    strings, are sorted at every depth, and NaN or infinity is rejected. Each
+    object, and each list holding an object, spreads its members over
+    two-space indented lines; every other value (a number, an [re, im] pair,
+    a matrix, a list of strings) sits on one line."""
+    return _render(document, "") + "\n"
 
 
 def _parse_complex(obj, where: str) -> complex:
@@ -72,9 +97,31 @@ def _parse_complex(obj, where: str) -> complex:
     raise MapFileError(f"{where}: expected a number or [re, im] pair, got {obj!r}")
 
 
+def _numeric_matrix(obj: list) -> np.ndarray | None:
+    """The matrix of an n x n nested list of numbers or of [re, im] number
+    pairs, converted in one numpy pass; None for any other input, which is
+    left to the per-entry parser and its messages. Strings, None and
+    bool-only input never pass: their dtype kind is not f or i."""
+    try:
+        arr = np.asarray(obj)
+    except ValueError:
+        return None
+    n = len(obj)
+    if arr.dtype.kind not in "fi":
+        return None
+    if arr.shape == (n, n, 2):
+        return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
+    if arr.shape == (n, n):
+        return arr.astype(np.complex128)
+    return None
+
+
 def _parse_matrix(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise MapFileError(f"{where}: expected a nonempty nested list")
+    matrix = _numeric_matrix(obj)
+    if matrix is not None:
+        return matrix
     rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != len(obj):

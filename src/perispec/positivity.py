@@ -158,9 +158,9 @@ def assemble(m: Block2Matrix) -> np.ndarray:
     return np.block([[m.a, m.b], [m.c, m.d]])
 
 
-def oracle_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PositivityVerdict:
-    """Direct eigenvalue test: PSD iff the least eigenvalue is >= -psd_tol."""
-    w, v = hermitian_eig(m, tol)
+def _eig_verdict(w: np.ndarray, v: np.ndarray, tol: Tolerances) -> PositivityVerdict:
+    """The verdict of :func:`oracle_psd` on a matrix with eigendecomposition
+    (w, v), eigenvalues ascending."""
     if w.size == 0 or w[0] >= -tol.psd_tol:
         return PositivityVerdict(True)
     witness = PositivityWitness(
@@ -171,13 +171,19 @@ def oracle_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PositivityVerdic
     return PositivityVerdict(False, witness)
 
 
+def oracle_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PositivityVerdict:
+    """Direct eigenvalue test: PSD iff the least eigenvalue is >= -psd_tol."""
+    return _eig_verdict(*hermitian_eig(m, tol), tol)
+
+
 def _oracle_check(
-    h: np.ndarray, tol: Tolerances, reason: str, **fields
+    h: np.ndarray, tol: Tolerances, reason: str, eig: tuple | None = None, **fields
 ) -> PositivityVerdict | None:
     """None when :func:`oracle_psd` accepts h; otherwise its verdict with the
     witness restated under ``reason``, in which ``{oracle}`` stands for the
-    oracle's own reason, and with ``fields`` added."""
-    verdict = oracle_psd(h, tol)
+    oracle's own reason, and with ``fields`` added. ``eig``, when given, is
+    h's eigendecomposition, already made."""
+    verdict = oracle_psd(h, tol) if eig is None else _eig_verdict(*eig, tol)
     if verdict.is_psd:
         return None
     assert verdict.witness is not None
@@ -193,14 +199,22 @@ def _offdiag_mismatch(m: Block2Matrix, tol: Tolerances) -> PositivityVerdict | N
     return PositivityVerdict(False, witness)
 
 
-def _block_prelude(m: Block2Matrix, tol: Tolerances) -> PositivityVerdict | None:
-    """The conditions every criterion shares: a and d PSD, and c = b*. Returns
-    the first that fails, or None."""
-    return (
-        _oracle_check(m.a, tol, "diagonal block a not PSD: {oracle}")
-        or _oracle_check(m.d, tol, "diagonal block d not PSD: {oracle}")
-        or _offdiag_mismatch(m, tol)
-    )
+def _block_prelude(
+    m: Block2Matrix, tol: Tolerances, decomposed: dict | None = None
+) -> PositivityVerdict | None:
+    """The conditions every criterion shares, in order: a PSD, d PSD, and
+    c = b*. Returns the first that fails, or None. A corner named as a key of
+    ``decomposed`` is checked from its eigendecomposition, which is stored
+    there for the caller."""
+    for name in ("a", "d"):
+        block, eig = getattr(m, name), None
+        if decomposed is not None and name in decomposed:
+            eig = decomposed[name] = hermitian_eig(block, tol)
+        reason = f"diagonal block {name} not PSD: {{oracle}}"
+        failed = _oracle_check(block, tol, reason, eig)
+        if failed is not None:
+            return failed
+    return _offdiag_mismatch(m, tol)
 
 
 def _schur_family(
@@ -213,12 +227,15 @@ def _schur_family(
 
     In the plain orientation the defect is d - b*(a + eps)^(-1) b; mirrored
     swaps the roles of the corners: a - b (d + eps)^(-1) b*. One
-    eigendecomposition of the regularized corner serves every epsilon.
+    eigendecomposition of the regularized corner serves its PSD check and
+    every epsilon.
     """
-    failed = _block_prelude(m, tol)
+    corner = "d" if mirrored else "a"
+    decomposed = {corner: None}
+    failed = _block_prelude(m, tol, decomposed)
     if failed is not None:
         return failed
-    w, v = hermitian_eig(m.d if mirrored else m.a, tol)
+    w, v = decomposed[corner]
     for eps in schedule.values:
         inv = (v * (1.0 / (w + eps))) @ v.conj().T
         if mirrored:

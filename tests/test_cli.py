@@ -58,6 +58,9 @@ def test_analyze_emit_round_trips_to_the_same_analysis(tmp_path):
     a = json.loads(first.read_text())
     b = json.loads(second.read_text())
     assert a["point_spectrum"] == b["point_spectrum"]
+    original = load_map_file(path).phi.matrix
+    reloaded = load_map_file(explicit).phi.matrix
+    assert np.array_equal(reloaded.view(np.float64), original.view(np.float64))
     assert a["classifications"] == b["classifications"]
     assert a["invariant_state"] == b["invariant_state"]
 

@@ -211,6 +211,39 @@ def test_schur_criteria_match_the_per_epsilon_reference(mirrored):
     assert len([o for o in outcomes if isinstance(o, float)]) >= 2
 
 
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_schur_criteria_decompose_each_corner_once(mirrored, monkeypatch):
+    import perispec.positivity as positivity
+
+    calls = []
+    real_eig = positivity.hermitian_eig
+
+    def counting_eig(h, tol):
+        calls.append(h.shape)
+        return real_eig(h, tol)
+
+    monkeypatch.setattr(positivity, "hermitian_eig", counting_eig)
+    rng = rng_for(13, int(mirrored))
+    a, d = random_psd(rng, 3), random_psd(rng, 3)
+    b = 0.01 * random_complex(rng, 3, 3)
+    schedule = EpsilonSchedule((1.0, 0.1, 0.01))
+    criterion = criterion_epsilon_prime if mirrored else criterion_epsilon
+    assert criterion(Block2Matrix(a, b, b.conj().T, d), schedule).is_psd
+    # a, d, then one defect per epsilon: the regularized corner is the one
+    # already decomposed for its PSD check
+    assert len(calls) == 2 + len(schedule.values)
+
+
+def test_mirrored_schur_criterion_checks_corner_a_first():
+    # d is not even Hermitian, but a fails first and decides the verdict
+    m = Block2Matrix(
+        np.array([[-1.0]]), np.array([[0.0]]), np.array([[0.0]]), np.array([[1j]])
+    )
+    verdict = criterion_epsilon_prime(m)
+    assert not verdict.is_psd
+    assert verdict.witness.reason.startswith("diagonal block a not PSD")
+
+
 def test_commuting_criterion_diagonal_frozen_cases():
     psd = Block2Matrix(
         np.diag([2.0, 3.0]), np.diag([1.0, 1.5]), np.diag([1.0, 1.5]), np.eye(2)
