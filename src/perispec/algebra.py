@@ -11,6 +11,7 @@ shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,6 +36,10 @@ __all__ = [
     "adjoint",
     "jordan_product",
     "hermitian_eig",
+    "hermitian_eigenvalues",
+    "to_hermitian_basis",
+    "from_hermitian_basis",
+    "hermitian_basis_form",
     "general_eigenvalues",
     "general_eig",
     "null_space",
@@ -66,17 +71,22 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# The change of basis T on the two entries (j, k), (k, j) of each pair, and
+# its adjoint; see BlockAlgebra.hermitian_pairs.
+_FROM_UNITS = np.sqrt(0.5) * np.array([[1.0, 1.0j], [1.0, -1.0j]])
+_TO_UNITS = _FROM_UNITS.conj().T
+
 
 def max_norm(m: np.ndarray) -> float:
     """Largest entry magnitude of an array; zero for empty arrays."""
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def _as_square_matrix(m) -> np.ndarray:
     a = np.array(m, dtype=np.complex128, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     a.setflags(write=False)
     return a
@@ -125,6 +135,26 @@ class BlockAlgebra:
             v = np.zeros(self.dim)
             v[k] = 1.0
             yield devectorize(self, v)
+
+    @cached_property
+    def hermitian_pairs(self) -> np.ndarray:
+        """Vectorization indices of the entries (j, k) and (k, j), j < k, of
+        every block, as the two rows (upper, lower) of one array.
+
+        They index the Hermitian basis too: the unit (E_jk + E_kj) / sqrt 2 sits
+        at the upper index, i (E_jk - E_kj) / sqrt 2 at the lower one, and each
+        diagonal unit E_jj at the index of its entry.
+        """
+        upper, lower = [], []
+        offset = 0
+        for n in self.blocks:
+            j, k = np.triu_indices(n, 1)
+            upper.append(offset + j * n + k)
+            lower.append(offset + k * n + j)
+            offset += n * n
+        pairs = np.stack((np.concatenate(upper), np.concatenate(lower)))
+        pairs.setflags(write=False)
+        return pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,6 +239,53 @@ def jordan_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return 0.5 * (x @ y + y @ x)
 
 
+def _mix_pairs(algebra: BlockAlgebra, a: np.ndarray, mix: np.ndarray) -> np.ndarray:
+    """Copy of ``a`` with each pair of rows (upper, lower) of
+    :attr:`BlockAlgebra.hermitian_pairs` replaced by ``mix`` applied to it."""
+    out = np.array(a, dtype=np.complex128)
+    rows = out[algebra.hermitian_pairs]
+    out[algebra.hermitian_pairs] = (mix @ rows.reshape(2, -1)).reshape(rows.shape)
+    return out
+
+
+def to_hermitian_basis(algebra: BlockAlgebra, a: np.ndarray) -> np.ndarray:
+    """Coordinates T* a in the Hermitian basis of ``algebra`` (see
+    :attr:`BlockAlgebra.hermitian_pairs`) of a vectorization, or of each
+    column of a matrix of them. T is unitary, and the coordinates of a
+    Hermitian element are real."""
+    return _mix_pairs(algebra, a, _TO_UNITS)
+
+
+def from_hermitian_basis(algebra: BlockAlgebra, y: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_hermitian_basis`: the vectorization T y of
+    Hermitian-basis coordinates, or of each column of a matrix of them. Real
+    coordinates give exactly Hermitian elements."""
+    return _mix_pairs(algebra, y, _FROM_UNITS)
+
+
+def hermitian_basis_form(algebra: BlockAlgebra, m: np.ndarray) -> tuple[np.ndarray, float]:
+    """The real part of T* m T, the matrix of the map m in the Hermitian
+    basis, and the size of the imaginary part it drops, max |Im| over
+    max(1, max |Re|).
+
+    The map sends Hermitian elements to Hermitian elements exactly when
+    T* m T is real. T acts on pairs of rows picked by index arrays, so the
+    cost is O(d^2) and no d x d matrix of T is formed.
+    """
+    # T* m T is the adjoint of T* (T* m)*
+    h = to_hermitian_basis(algebra, to_hermitian_basis(algebra, m).conj().T)
+    real = np.ascontiguousarray(h.real.T)
+    return real, max_norm(h.imag) / max(1.0, max_norm(real))
+
+
+def _checked_hermitian(h, tol: Tolerances) -> np.ndarray:
+    h = np.asarray(h, dtype=np.complex128)
+    defect = max_norm(h - h.conj().T)
+    if defect > tol.eq_tol * max(1.0, max_norm(h)):
+        raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e}")
+    return h
+
+
 def hermitian_eig(
     h: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -218,10 +295,7 @@ def hermitian_eig(
     matching orthonormal eigenvectors. Raises :class:`NotHermitian` when the
     input deviates from its conjugate transpose beyond tolerance.
     """
-    h = np.asarray(h, dtype=np.complex128)
-    defect = max_norm(h - h.conj().T)
-    if defect > tol.eq_tol * max(1.0, max_norm(h)):
-        raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e}")
+    h = _checked_hermitian(h, tol)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -229,15 +303,33 @@ def hermitian_eig(
     return w, v
 
 
+def hermitian_eigenvalues(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, without the eigenvectors,
+    which LAPACK computes several times faster at large sizes. The input is
+    checked as in :func:`hermitian_eig`."""
+    h = _checked_hermitian(h, tol)
+    try:
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def _lapack_input(m) -> np.ndarray:
+    """Real input as float64, so that LAPACK runs its faster real solvers;
+    any other input as complex128."""
+    m = np.asarray(m)
+    return m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False)
+
+
 def _general_square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
+    m = _lapack_input(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def general_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalue multiset of a general square complex matrix."""
+    """Eigenvalue multiset of a general square matrix, real or complex."""
     m = _general_square(m)
     try:
         return np.linalg.eigvals(m)
@@ -246,11 +338,15 @@ def general_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 
 def general_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a general square complex matrix and a matrix whose
-    columns are matching unit-norm right eigenvectors.
+    """Eigenvalues of a general square matrix and a matrix whose columns are
+    matching unit-norm right eigenvectors.
 
-    At a defective eigenvalue the columns for its repeated copies come out
-    nearly parallel, so callers must check their rank before using them.
+    Real input is decomposed by LAPACK's real solver: its complex eigenvalues
+    come in exact conjugate pairs, with conjugate eigenvectors, and both
+    results are real when every eigenvalue is. Any other input is decomposed
+    as complex128. At a defective eigenvalue the columns for its repeated
+    copies come out nearly parallel, so callers must check their rank before
+    using them.
     """
     m = _general_square(m)
     try:
@@ -266,9 +362,9 @@ def null_space(
 
     A singular value counts as zero when it is at most ``rank_tol`` times the
     largest singular value (so the zero matrix has a full kernel) or at most
-    the absolute floor ``atol``.
+    the absolute floor ``atol``. A real input has a real basis.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = _lapack_input(m)
     try:
         _, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -285,7 +381,7 @@ def column_space(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     A singular value counts as zero when it is at most ``rank_tol`` times the
     largest singular value, as in :func:`null_space`.
     """
-    m = np.asarray(m, dtype=np.complex128)
+    m = _lapack_input(m)
     try:
         u, s, _ = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

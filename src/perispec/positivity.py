@@ -27,6 +27,7 @@ from .algebra import (
     Tolerances,
     devectorize,
     hermitian_eig,
+    hermitian_eigenvalues,
     max_norm,
 )
 from .errors import (
@@ -356,10 +357,10 @@ def complete_positivity(
 ) -> tuple[np.ndarray, float, bool]:
     """Choi matrix of a single-block map, the least eigenvalue of its
     Hermitian part, and whether that eigenvalue is >= -psd_tol, that is
-    whether the map is completely positive."""
+    whether the map is completely positive. Only the eigenvalues of the
+    Hermitian part are computed, not its eigenvectors."""
     choi = choi_matrix(phi)
-    w, _ = hermitian_eig(0.5 * (choi + choi.conj().T), tol)
-    least = float(w[0])
+    least = float(hermitian_eigenvalues(0.5 * (choi + choi.conj().T), tol)[0])
     return choi, least, least >= -tol.psd_tol
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +25,9 @@ from .algebra import (
     column_space,
     devectorize,
     element_norm,
+    from_hermitian_basis,
     general_eig,
+    hermitian_basis_form,
     hermitian_eig,
     max_norm,
     null_space,
@@ -87,13 +90,20 @@ class Superoperator:
             raise DimensionMismatch(
                 f"superoperator matrix of shape {m.shape} does not fit dim {d}"
             )
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("superoperator entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return apply(self, x)
+
+    @cached_property
+    def hermitian_form(self) -> tuple[np.ndarray, float]:
+        """The real part of the matrix in the Hermitian basis and the relative
+        size of the imaginary part it drops, from
+        :func:`~perispec.algebra.hermitian_basis_form`; made once per map."""
+        return hermitian_basis_form(self.algebra, self.matrix)
 
 
 @dataclass(frozen=True)
@@ -260,29 +270,52 @@ def _cluster_values(
 ) -> list[tuple[complex, float, list[int]]]:
     """Greedy merge of complex values within ``radius``; returns (mean,
     spread, member indices into ``values``) per cluster sorted by the (real,
-    imaginary) part of the mean."""
+    imaginary) part of the mean.
+
+    In (real, imaginary) order, each value joins the first cluster, in order
+    of creation, whose mean lies within ``radius`` of it, or starts a new
+    one. Every later value lies further right, up to the rounding of the sort
+    key, so a cluster whose mean falls more than ``radius`` (plus slack for
+    that rounding) left of the current value can take no more members and
+    is swept out of the search. Means come from running sums.
+    """
     clusters: list[list[int]] = []
+    totals: list[complex] = []
+    live = 0  # clusters before this index are swept out
     order = sorted(range(len(values)), key=lambda k: _sort_key(values[k]))
     for k in order:
-        for cluster in clusters:
-            mean = sum(values[m] for m in cluster) / len(cluster)
-            if abs(values[k] - mean) <= radius:
-                cluster.append(k)
+        value = values[k]
+        horizon = value.real - radius - 1e-9 * (1.0 + abs(value.real))
+        while live < len(clusters) and (totals[live] / len(clusters[live])).real < horizon:
+            live += 1
+        for c in range(live, len(clusters)):
+            if abs(value - totals[c] / len(clusters[c])) <= radius:
                 break
         else:
-            clusters.append([k])
+            c = len(clusters)
+            clusters.append([])
+            totals.append(0)
+        clusters[c].append(k)
+        totals[c] += value
     merged = []
-    for cluster in clusters:
-        mean = sum(values[m] for m in cluster) / len(cluster)
+    for cluster, total in zip(clusters, totals):
+        mean = total / len(cluster)
         merged.append((mean, max(abs(values[m] - mean) for m in cluster), cluster))
     return sorted(merged, key=lambda entry: _sort_key(entry[0]))
+
+
+def _real_form(phi: Superoperator, tol: Tolerances) -> np.ndarray | None:
+    """The map's matrix in the Hermitian basis, real, when the map preserves
+    Hermiticity within ``eq_tol``; None otherwise."""
+    real, defect = phi.hermitian_form
+    return real if defect <= tol.eq_tol else None
 
 
 def _row_drift(phi: Superoperator, rows: np.ndarray, values) -> np.ndarray:
     """Per row x of vectorizations, the largest entry of phi(x) - value * x;
     ``values`` holds one value per row or one for all rows."""
     drift = rows @ phi.matrix.T - np.reshape(values, (-1, 1)) * rows
-    return np.max(np.abs(drift), axis=1)
+    return np.abs(drift).max(axis=1)
 
 
 def point_spectrum(
@@ -293,21 +326,32 @@ def point_spectrum(
 ) -> PointSpectrum:
     """Peripheral eigenvalues of the map with orthonormal eigenspace bases.
 
-    One dense eigendecomposition gives every eigenvalue and eigenvector.
+    One dense eigendecomposition gives every eigenvalue and eigenvector. A
+    map that preserves Hermiticity within ``eq_tol``, as every positive map
+    does, is decomposed in the Hermitian basis, where its matrix is real:
+    LAPACK's real solver is faster, and it returns the eigenvalues off the
+    real axis in exact conjugate pairs. Only the peripheral eigenvectors are
+    mapped back. Any other map is decomposed as a complex matrix.
+
     Eigenvalues within ``peripheral_tol`` of the unit circle are kept and
     numerically split copies within ``merge_tol`` of each other are merged.
     Each cluster's eigenvector columns are orthonormalized together and
-    re-verified with one residual check. When they lose rank or fail the
-    check, as at a defective eigenvalue, the eigenspace is recomputed as the
-    kernel of (matrix - lambda id) and verified the same way.
+    re-verified against the map's matrix with one residual check. When they
+    lose rank or fail the check, as at a defective eigenvalue, the
+    eigenspace is recomputed as the kernel of (matrix - lambda id) and
+    verified the same way.
     """
-    eigenvalues, eigenvectors = general_eig(phi.matrix)
+    real = _real_form(phi, tol)
+    eigenvalues, eigenvectors = general_eig(phi.matrix if real is None else real)
     keep = [k for k, v in enumerate(eigenvalues) if abs(abs(v) - 1.0) <= peripheral_tol]
     peripheral = [complex(eigenvalues[k]) for k in keep]
+    columns = eigenvectors[:, keep]
+    if real is not None:
+        columns = from_hermitian_basis(phi.algebra, columns)
     bound = max(tol.eq_tol, 10.0 * tol.rank_tol)
     points = []
     for value, spread, members in _cluster_values(peripheral, merge_tol):
-        basis = column_space(eigenvectors[:, [keep[m] for m in members]], tol)
+        basis = column_space(columns[:, members], tol)
         if basis.shape[1] < len(members) or _row_drift(phi, basis.T, value).max() > bound:
             # merged clusters need an absolute singular-value floor: each member
             # direction sits at distance |v - mean| <= spread from the kernel
@@ -351,17 +395,27 @@ def invariant_state(
 
     The dual acts by the conjugate transpose of the matrix. The candidate is
     the orthogonal projection of the maximally mixed state onto the dual
-    fixed space, which is again a fixed point; it is then verified to be
-    Hermitian, positive semidefinite, and of unit trace.
+    fixed space, which is again a fixed point; it is then verified against
+    the map's matrix to be Hermitian, fixed, positive semidefinite, and of
+    unit trace. For a map that preserves Hermiticity within ``eq_tol`` the
+    dual fixed space is found in the Hermitian basis, where the dual's matrix
+    is the transpose of the real form: a real SVD with the same singular
+    values, since the change of basis is unitary.
     """
     d = phi.algebra.dim
-    kernel = null_space(phi.matrix.conj().T - np.eye(d), tol)
+    mixed = vectorize(phi.algebra.scalar(1.0 / phi.algebra.total_size))
+    real = _real_form(phi, tol)
+    if real is None:
+        kernel = null_space(phi.matrix.conj().T - np.eye(d), tol)
+    else:
+        kernel = null_space(real.T - np.eye(d), tol)
+        # a multiple of the identity has the same coordinates in both bases
+        mixed = mixed.real
     if not kernel:
         raise NoPositiveFixedState("the dual map has no fixed point")
-    mixed = vectorize(phi.algebra.scalar(1.0 / phi.algebra.total_size))
-    projected = np.zeros(d, dtype=np.complex128)
-    for vec in kernel:
-        projected += np.vdot(vec, mixed) * vec
+    projected = sum(np.vdot(vec, mixed) * vec for vec in kernel)
+    if real is not None:
+        projected = from_hermitian_basis(phi.algebra, projected)
     candidate = devectorize(phi.algebra, projected)
     herm_defect = element_norm(candidate - adjoint(candidate))
     if herm_defect > tol.eq_tol:

@@ -22,6 +22,13 @@ from perispec import (
     scalar_multiple_of_identity,
     vectorize,
 )
+from perispec.algebra import (
+    from_hermitian_basis,
+    general_eig,
+    hermitian_basis_form,
+    hermitian_eigenvalues,
+    to_hermitian_basis,
+)
 
 from conftest import random_complex, random_element, random_hermitian, rng_for
 
@@ -119,6 +126,93 @@ def test_hermitian_eig_reconstructs_seeded_inputs(n):
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitian):
+        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_hermitian_eigenvalues_match_hermitian_eig(n):
+    rng = rng_for(9, n)
+    for _ in range(20):
+        h = random_hermitian(rng, n)
+        assert max_norm(hermitian_eigenvalues(h) - hermitian_eig(h)[0]) < 1e-12
+
+
+MAT_1_2_3 = BlockAlgebra((1, 2, 3))
+
+
+def _hermitian_basis_matrix(algebra: BlockAlgebra) -> np.ndarray:
+    """The change of basis T, column by column from the Hermitian units."""
+    columns = []
+    offset = 0
+    for n in algebra.blocks:
+        for j in range(n):
+            for k in range(n):
+                unit = np.zeros((n, n), dtype=complex)
+                if j == k:
+                    unit[j, j] = 1.0
+                elif j < k:
+                    unit[j, k] = unit[k, j] = np.sqrt(0.5)
+                else:
+                    unit[k, j], unit[j, k] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+                column = np.zeros(algebra.dim, dtype=complex)
+                column[offset : offset + n * n] = unit.reshape(-1)
+                columns.append(column)
+        offset += n * n
+    return np.column_stack(columns)
+
+
+def test_hermitian_basis_change_is_unitary_and_inverts():
+    algebra = MAT_1_2_3
+    t = _hermitian_basis_matrix(algebra)
+    eye = np.eye(algebra.dim)
+    assert max_norm(t.conj().T @ t - eye) < 1e-15
+    assert max_norm(from_hermitian_basis(algebra, eye) - t) < 1e-15
+    assert max_norm(to_hermitian_basis(algebra, eye) - t.conj().T) < 1e-15
+    rng = rng_for(10)
+    v = random_complex(rng, algebra.dim)
+    columns = random_complex(rng, algebra.dim, 3)
+    assert max_norm(from_hermitian_basis(algebra, to_hermitian_basis(algebra, v)) - v) < 1e-14
+    assert max_norm(to_hermitian_basis(algebra, from_hermitian_basis(algebra, v)) - v) < 1e-14
+    assert max_norm(to_hermitian_basis(algebra, columns) - t.conj().T @ columns) < 1e-14
+    # Hermitian elements have real coordinates, and real coordinates give
+    # exactly Hermitian elements
+    h = algebra.element([random_hermitian(rng, n) for n in algebra.blocks])
+    assert max_norm(to_hermitian_basis(algebra, vectorize(h)).imag) < 1e-15
+    y = rng.standard_normal(algebra.dim)
+    x = devectorize(algebra, from_hermitian_basis(algebra, y))
+    assert element_norm(x - adjoint(x)) == 0.0
+
+
+def test_hermitian_basis_form_is_the_real_similarity():
+    algebra = MAT_1_2_3
+    t = _hermitian_basis_matrix(algebra)
+    rng = rng_for(11)
+    real = rng.standard_normal((algebra.dim, algebra.dim))
+    m = t @ real @ t.conj().T
+    form, defect = hermitian_basis_form(algebra, m)
+    assert form.dtype == np.float64 and form.flags.c_contiguous
+    assert max_norm(form - real) < 1e-14
+    assert defect < 1e-15
+    bumped = m + 1e-3j * (t[:, [2]] @ t[:, [4]].conj().T)
+    form, defect = hermitian_basis_form(algebra, bumped)
+    assert max_norm(form - real) < 1e-14
+    assert defect == pytest.approx(1e-3 / max(1.0, max_norm(real)), rel=1e-9)
+
+
+def test_real_input_takes_the_real_solvers():
+    rng = rng_for(12)
+    m = rng.standard_normal((6, 6))
+    values, vectors = general_eig(m)
+    assert values.dtype == np.complex128 and vectors.dtype == np.complex128
+    # complex eigenvalues of a real matrix come in exact conjugate pairs
+    assert sorted(values.tolist(), key=lambda z: (z.real, z.imag)) == sorted(
+        values.conj().tolist(), key=lambda z: (z.real, z.imag)
+    )
+    assert max_norm(m @ vectors - vectors * values) < 1e-12
+    kernel = null_space(np.outer(m[0], m[1]))
+    assert len(kernel) == 5
+    assert all(v.dtype == np.float64 for v in kernel)
 
 
 def _char_poly_coefficients(m: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from perispec import dump_json, load_map_file
+from perispec import dump_json, load_map_file, max_norm, point_spectrum, vectorize
 from perispec.cli import main
 
 GENERIC = [float(np.cos(2 * np.pi / 5)), float(np.sin(2 * np.pi / 5))]
@@ -77,16 +77,35 @@ def test_analyze_continuous_preset_includes_family_sections(tmp_path, capsys):
     assert checks and all(c["max_residual"] < 1e-10 for c in checks)
 
 
+def _coordinates_of_manifest_combination(path, value, weights) -> str:
+    """--coeffs text for sum_k weights[k] b_k, the b_k being the manifest's
+    canonical eigenvectors at ``value``, in the coordinates of whatever
+    orthonormal basis the computed spectrum holds there."""
+    loaded = load_map_file(path)
+    manifest = loaded.manifest
+    index = next(
+        k for k, v in enumerate(manifest.expected_spectrum) if abs(v - value) < 1e-9
+    )
+    target = sum(
+        w * vectorize(b) for w, b in zip(weights, manifest.canonical_eigenvectors[index])
+    )
+    point = point_spectrum(loaded.phi).find(value)
+    q = np.column_stack([vectorize(x) for x in point.basis])
+    coeffs = q.conj().T @ target
+    assert max_norm(q @ coeffs - target) < 1e-12
+    return ";".join(f"{c.real!r},{c.imag!r}" for c in coeffs.tolist())
+
+
 def test_classify_lists_basis_and_combination(tmp_path, capsys):
     path = _write_map(tmp_path, name="ex2", lambda0=[0.0, 1.0])
+    coeffs = _coordinates_of_manifest_combination(path, 1j, (0.6, 0.8))
     code = main(
         [
             "classify",
             str(path),
             "--lam",
             "0,1",
-            "--coeffs",
-            "0.6,0;0.8,0",
+            f"--coeffs={coeffs}",
             "--json",
         ]
     )

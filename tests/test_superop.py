@@ -36,8 +36,10 @@ from perispec import (
     unitality_check,
     vectorize,
 )
-from perispec import superop
+from perispec import presets, superop
+from perispec.algebra import from_hermitian_basis, general_eig, to_hermitian_basis
 from perispec.analysis import analyze
+from perispec.positivity import choi_matrix, complete_positivity
 from perispec.superop import PointSpectrum, SpectralPoint
 
 from conftest import random_element, random_unitary, rng_for
@@ -271,6 +273,101 @@ def test_point_spectrum_falls_back_to_null_space_at_a_jordan_block(monkeypatch, 
     assert spectrum.find(1.0).dimension == 1
 
 
+def _real_in_hermitian_basis_map() -> Superoperator:
+    """A seeded map on Mat(2) + Mat(3) that is real in the Hermitian basis:
+    R = Q B Q^T with Q orthogonal and B holding 1 twice, -1, two equal
+    rotations and a decaying part. The first column of Q is the direction of
+    the identity, so the dual fixes the maximally mixed state."""
+    algebra = BlockAlgebra((2, 3))
+    rng = rng_for(44)
+    one = to_hermitian_basis(algebra, vectorize(algebra.identity())).real
+    g = rng.standard_normal((algebra.dim, algebra.dim))
+    g[:, 0] = one
+    q, _ = np.linalg.qr(g)
+    c, s = np.cos(0.7), np.sin(0.7)
+    b = np.zeros((algebra.dim, algebra.dim))
+    b[:3, :3] = np.diag([1.0, 1.0, -1.0])
+    b[3:5, 3:5] = b[5:7, 5:7] = [[c, -s], [s, c]]
+    b[7:9, 7:9] = 0.6 * np.array([[s, c], [-c, s]])
+    b[9:, 9:] = np.diag([0.5, 0.2, -0.3, 0.1])
+    t_star = to_hermitian_basis(algebra, np.eye(algebra.dim))
+    return Superoperator(algebra, from_hermitian_basis(algebra, q @ b @ q.T @ t_star))
+
+
+REAL_ROUTE_MAPS = {
+    "mixed-unitary-n4": lambda: _seeded_mixed_unitary(4),
+    "conjugation-n5": lambda: _seeded_conjugation(5),
+    "real-in-hermitian-basis-2-3": _real_in_hermitian_basis_map,
+}
+
+
+def _projector(point: SpectralPoint) -> np.ndarray:
+    q = _basis_columns(point)
+    return q @ q.conj().T
+
+
+def _recorded_eig_inputs(monkeypatch) -> list:
+    inputs = []
+
+    def recorded(m):
+        inputs.append(m.dtype)
+        return general_eig(m)
+
+    monkeypatch.setattr(superop, "general_eig", recorded)
+    return inputs
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ROUTE_MAPS))
+def test_real_route_matches_the_complex_route(name, monkeypatch, tol):
+    phi = REAL_ROUTE_MAPS[name]()
+    inputs = _recorded_eig_inputs(monkeypatch)
+    spectrum = point_spectrum(phi, tol)
+    state = invariant_state(phi, tol)
+    assert inputs == [np.float64]
+    # peripheral values come out in exact conjugate pairs
+    assert set(spectrum.values) == {v.conjugate() for v in spectrum.values}
+
+    monkeypatch.setattr(superop, "_real_form", lambda phi, tol: None)
+    reference = point_spectrum(phi, tol)
+    reference_state = invariant_state(phi, tol)
+    assert inputs == [np.float64, np.complex128]
+    assert spectrum.dimensions == reference.dimensions
+    for point, want in zip(spectrum.points, reference.points):
+        assert abs(point.value - want.value) <= 1e-12
+        assert max_norm(_projector(point) - _projector(want)) <= 1e-9
+        q = _basis_columns(point)
+        assert max_norm(phi.matrix @ q - point.value * q) <= 1e-7
+    assert element_norm(state.rho - reference_state.rho) <= 1e-12
+    assert state.faithful == reference_state.faithful
+    if len(phi.algebra.blocks) == 1:
+        choi = choi_matrix(phi)
+        least = np.linalg.eigh(0.5 * (choi + choi.conj().T))[0][0]
+        assert abs(complete_positivity(phi, tol)[1] - least) <= 1e-12
+
+
+def _hermiticity_defect_map(tol) -> Superoperator:
+    """The seeded mixed-unitary map on Mat(4) plus an anti-Hermitian-valued
+    term of relative size 10 eq_tol in the Hermitian basis."""
+    phi = _seeded_mixed_unitary(4)
+    algebra = phi.algebra
+    bump = np.zeros((algebra.dim, algebra.dim))
+    bump[1, 2] = 10.0 * tol.eq_tol * max(1.0, max_norm(phi.hermitian_form[0]))
+    t_star = to_hermitian_basis(algebra, np.eye(algebra.dim))
+    return Superoperator(algebra, phi.matrix + 1j * from_hermitian_basis(algebra, bump @ t_star))
+
+
+def test_maps_that_break_hermiticity_take_the_complex_route(monkeypatch, tol):
+    inputs = _recorded_eig_inputs(monkeypatch)
+    ex2c = build_example2_continuous(GENERIC).builder(0.5)
+    bumped = _hermiticity_defect_map(tol)
+    assert bumped.hermitian_form[1] == pytest.approx(10.0 * tol.eq_tol, rel=1e-6)
+    assert ex2c.hermitian_form[1] > 0.1
+    for phi in (ex2c, bumped):
+        assert superop._real_form(phi, tol) is None
+        point_spectrum(phi, tol)
+    assert inputs == [np.complex128, np.complex128]
+
+
 def _spectrum_with_eigenvectors(phi):
     return phi, point_spectrum(phi)
 
@@ -347,6 +444,93 @@ def test_batched_closure_checks_match_per_pair_loops(name, tol):
     assert jordan.vanished_count == sum(1 for e in expected if e[5])
     assert jordan.max_residual == max(e[4] for e in jordan.entries)
     assert abs(jordan.max_residual - max(e[4] for e in expected)) <= 1e-12
+
+
+def _greedy_clusters(values, radius):
+    """Reference for superop._cluster_values: each value, in sort-key
+    order, is compared with every cluster's mean recomputed from its
+    members."""
+    clusters = []
+    order = sorted(range(len(values)), key=lambda k: superop._sort_key(values[k]))
+    for k in order:
+        for cluster in clusters:
+            mean = sum(values[m] for m in cluster) / len(cluster)
+            if abs(values[k] - mean) <= radius:
+                cluster.append(k)
+                break
+        else:
+            clusters.append([k])
+    merged = []
+    for cluster in clusters:
+        mean = sum(values[m] for m in cluster) / len(cluster)
+        merged.append((mean, max(abs(values[m] - mean) for m in cluster), cluster))
+    return sorted(merged, key=lambda entry: superop._sort_key(entry[0]))
+
+
+def _bitwise(clusters):
+    # repr keeps every bit of a float, the sign of zero included
+    return [(repr(mean), repr(spread), members) for mean, spread, members in clusters]
+
+
+def _seeded_value_sets():
+    rng = rng_for(45)
+    radius = superop.MERGE_TOL
+    sets = {}
+    for trial in range(5):
+        centers = np.exp(2j * np.pi * rng.random(12))
+        picks = rng.integers(0, 12, 120)
+        noise = radius * rng.random(120) * np.exp(2j * np.pi * rng.random(120))
+        sets[f"noisy-{trial}"] = [complex(z) for z in centers[picks] + noise]
+    # chains with steps of 0.5 to 2 merge radii along several directions,
+    # so that values sit on both sides of the radius from a moving mean
+    for angle in (0.0, 0.5 * np.pi, 0.3, 2.0, np.pi):
+        steps = radius * rng.uniform(0.5, 2.0, 60) * np.exp(1j * angle)
+        sets[f"chain-{angle:.2f}"] = [complex(z) for z in 1j + np.cumsum(steps)]
+    # equal real parts, and real parts a rounding of the sort key apart
+    sets["same-real"] = [complex(0.5, 0.1 * k * radius) for k in range(40)]
+    sets["key-rounding"] = [complex(0.5 + k * 3e-13, (-1) ** k * radius) for k in range(40)]
+    sets["signed-zeros"] = [complex(1.0, 0.0), complex(1.0, -0.0), complex(-0.0, 1.0)]
+    # the second and third values share a sort key, so the third comes later
+    # though its real part is smaller, and it still joins the first cluster
+    sets["sort-key-tie"] = [
+        complex(0.5, 0.0),
+        complex(0.5 + radius + 4e-13, -0.5),
+        complex(0.5 + radius - 1e-14, 0.0),
+    ]
+    sets["empty"] = []
+    return sets
+
+
+SEEDED_VALUE_SETS = _seeded_value_sets()
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_VALUE_SETS))
+def test_cluster_sweep_matches_the_greedy_reference(name):
+    values = SEEDED_VALUE_SETS[name]
+    for radius in (superop.MERGE_TOL, 0.5 * superop.MERGE_TOL, 2.0 * superop.MERGE_TOL):
+        got = superop._cluster_values(values, radius)
+        assert _bitwise(got) == _bitwise(_greedy_clusters(values, radius))
+
+
+def test_cluster_sweep_matches_the_greedy_reference_on_preset_manifests(monkeypatch):
+    calls = []
+    sweep = superop._cluster_values
+
+    def recorded(values, radius):
+        calls.append((list(values), radius))
+        return sweep(values, radius)
+
+    monkeypatch.setattr(presets, "_cluster_values", recorded)
+    lambdas = [GENERIC, CUBE_ROOT, np.conj(CUBE_ROOT), 1j, -1j]
+    lambdas += [1j * np.exp(1j * offset) for offset in (1e-9, 3e-8, -1e-8)]
+    lambdas += list(np.exp(2j * np.pi * rng_for(46).random(6)))
+    for lam in lambdas:
+        build_example1(lam)
+        build_example2(lam)
+    build_example1(-1.0)
+    assert len(calls) == 2 * len(lambdas) + 1
+    for values, radius in calls:
+        assert _bitwise(sweep(values, radius)) == _bitwise(_greedy_clusters(values, radius))
 
 
 def _spectrum_of(*values: complex) -> PointSpectrum:
