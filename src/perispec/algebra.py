@@ -40,7 +40,6 @@ __all__ = [
     "to_hermitian_basis",
     "from_hermitian_basis",
     "hermitian_basis_form",
-    "general_eigenvalues",
     "general_eig",
     "null_space",
     "column_space",
@@ -326,15 +325,6 @@ def _general_square(m) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def general_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalue multiset of a general square matrix, real or complex."""
-    m = _general_square(m)
-    try:
-        return np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
 
 
 def general_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import re
 import sys
 from pathlib import Path
 
@@ -58,6 +59,11 @@ from .presets import PRESET_NAMES
 from .superop import MERGE_TOL, PERIPHERAL_TOL, point_spectrum
 
 _INPUT_ERRORS = (MapFileError, BadLambda0, MultiBlockUnsupported, LambdaNotInSpectrum)
+
+# argparse takes a token that starts with '-' for an option unless it is a
+# plain number, so "--lam -1,0" would leave --lam without its value.
+_COMPLEX_OPTIONS = ("--lam", "--lambda", "--coeffs", "--lambda0")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 def _parse_cli_complex(text: str) -> complex:
@@ -379,9 +385,22 @@ _HANDLERS = {
 }
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite "--lam -1,0" as "--lam=-1,0" for the complex-valued options."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _COMPLEX_OPTIONS and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return _HANDLERS[args.command](args)
     except _INPUT_ERRORS as exc:

@@ -30,7 +30,7 @@ from .presets import (
     build_example2_continuous,
     build_psi_swap,
 )
-from .superop import ContinuousFamily, InvariantState, Superoperator
+from .superop import ContinuousFamily, Superoperator
 
 __all__ = [
     "LoadedMap",
@@ -140,11 +140,9 @@ class LoadedMap:
     """
 
     phi: Superoperator
-    preset: dict | None = None
     t: float | None = None
     family: ContinuousFamily | None = None
     manifest: ExampleManifest | None = None
-    invariant: InvariantState | None = None
 
 
 def _load_preset(stanza: dict, override_t: float | None) -> LoadedMap:
@@ -154,8 +152,7 @@ def _load_preset(stanza: dict, override_t: float | None) -> LoadedMap:
     if name not in PRESET_NAMES:
         raise MapFileError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
     if name == "psi_swap":
-        phi, _, state = build_psi_swap()
-        return LoadedMap(phi=phi, preset={"name": name}, invariant=state)
+        return LoadedMap(phi=build_psi_swap()[0])
     if "lambda0" not in stanza:
         raise MapFileError(f"preset {name!r} requires a lambda0 entry")
     lambda0 = _parse_complex(stanza["lambda0"], "map.preset.lambda0")
@@ -164,31 +161,20 @@ def _load_preset(stanza: dict, override_t: float | None) -> LoadedMap:
         if not isinstance(stanza["t"], (int, float)):
             raise MapFileError("map.preset.t must be a number")
         t = float(stanza["t"])
-    preset = {"name": name, "lambda0": complex_to_pair(lambda0)}
     if name == "ex1":
-        phi, state, manifest = build_example1(lambda0)
-        return LoadedMap(phi=phi, preset=preset, manifest=manifest, invariant=state)
+        phi, _, manifest = build_example1(lambda0)
+        return LoadedMap(phi=phi, manifest=manifest)
     if name == "ex2":
         phi, manifest = build_example2(lambda0)
-        return LoadedMap(phi=phi, preset=preset, manifest=manifest)
+        return LoadedMap(phi=phi, manifest=manifest)
     t = 1.0 if t is None else t
-    preset["t"] = float(t)
     if name == "ex1c":
         family = build_example1_continuous(lambda0)
-        _, state, manifest = build_example1(lambda0)
-        return LoadedMap(
-            phi=family.builder(t),
-            preset=preset,
-            t=t,
-            family=family,
-            manifest=manifest,
-            invariant=state,
-        )
-    family = build_example2_continuous(lambda0)
-    _, manifest = build_example2(lambda0)
-    return LoadedMap(
-        phi=family.builder(t), preset=preset, t=t, family=family, manifest=manifest
-    )
+        manifest = build_example1(lambda0)[2]
+    else:
+        family = build_example2_continuous(lambda0)
+        manifest = build_example2(lambda0)[1]
+    return LoadedMap(phi=family.builder(t), t=t, family=family, manifest=manifest)
 
 
 def _parse_algebra(obj) -> BlockAlgebra:

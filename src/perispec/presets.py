@@ -12,10 +12,10 @@ multiplication.
 The second lives on two 2x2 blocks, which realize 2x2 matrices over the
 two-dimensional abelian algebra: block j carries coordinate j of each entry.
 On top of the same averaging and rotation, every entry is passed through the
-coordinate swap, which adds a sign sector to the spectrum. For generic
-lambda0 the six peripheral eigenvalues are again not a group; at
-lambda0 = +-i they merge into the group {1, -1, i, -i} with two-dimensional
-eigenspaces.
+coordinate swap, which adds a sign sector to the spectrum; the map is the
+swap tensored with the first map. For generic lambda0 the six peripheral
+eigenvalues are again not a group; at lambda0 = +-i they merge into the
+group {1, -1, i, -i} with two-dimensional eigenspaces.
 
 Continuous versions raise lambda0 and the swap to real powers through the
 principal argument. Integer times are computed by exact multiplication, so
@@ -39,7 +39,6 @@ from .superop import (
     InvariantState,
     Superoperator,
     _cluster_values,
-    from_action,
 )
 
 __all__ = [
@@ -259,33 +258,17 @@ def build_psi_swap() -> tuple[Superoperator, AlgebraElement, InvariantState]:
 
 
 def _example2_superoperator(lam: complex, c: complex, s: complex) -> Superoperator:
-    """Map with entrywise mixing psi(v) = (c v1 + s v2, s v1 + c v2),
-    diagonal averaging, and off-diagonal rotation by lam."""
-    lam = complex(lam)
+    """The first example's map tensored with psi = [[c, s], [s, c]] on the
+    two block coordinates: M[4j + r, 4k + c'] = E[r, c'] psi[j, k].
 
-    def psi(v: np.ndarray) -> np.ndarray:
-        return np.array([c * v[0] + s * v[1], s * v[0] + c * v[1]])
-
-    def act(x: AlgebraElement) -> AlgebraElement:
-        b1, b2 = x.parts
-        entry = {
-            key: np.array([b1[i, j], b2[i, j]])
-            for key, (i, j) in {
-                "a": (0, 0),
-                "b": (0, 1),
-                "c": (1, 0),
-                "d": (1, 1),
-            }.items()
-        }
-        mean = psi((entry["a"] + entry["d"]) / 2.0)
-        top = lam * psi(entry["b"])
-        bottom = lam.conjugate() * psi(entry["c"])
-        parts = [
-            np.array([[mean[j], top[j]], [bottom[j], mean[j]]]) for j in (0, 1)
-        ]
-        return _EX2_ALGEBRA.element(parts)
-
-    return from_action(_EX2_ALGEBRA, act)
+    The ex1 entry is the left factor, as lam is in lam * psi(entry): complex
+    multiplication is not bitwise commutative, and this order keeps every
+    nonzero entry equal to the entrywise construction's bit for bit.
+    """
+    ex1 = _example1_superoperator(lam).matrix
+    psi = np.array([[c, s], [s, c]])
+    matrix = (ex1[None, :, None, :] * psi[:, None, :, None]).reshape(8, 8)
+    return Superoperator(_EX2_ALGEBRA, matrix)
 
 
 def _ex2_element(top: np.ndarray | None, bottom: np.ndarray | None, diag=None):

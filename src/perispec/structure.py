@@ -103,7 +103,19 @@ def _eigen_residual(
     return element_norm(apply(phi, x) - value * x)
 
 
-def _normalization_scalar(x: AlgebraElement, tol: Tolerances) -> float:
+def _normalized(
+    phi: Superoperator, value: complex, x: AlgebraElement, tol: Tolerances
+) -> tuple[AlgebraElement, float]:
+    """The eigenvector x scaled so that x x* + x* x = 1, and the scalar c
+    with x x* + x* x = c 1 before scaling."""
+    scale = element_norm(x)
+    if scale <= tol.eq_tol:
+        raise NotEigenvector("the zero element cannot be normalized")
+    residual = _eigen_residual(phi, value, x)
+    if residual > tol.eq_tol * max(1.0, scale):
+        raise NotEigenvector(
+            f"residual {residual:.3e} at eigenvalue {value!r} exceeds tolerance"
+        )
     combo = x @ adjoint(x) + adjoint(x) @ x
     c = scalar_multiple_of_identity(combo, tol)
     if c is None:
@@ -114,7 +126,8 @@ def _normalization_scalar(x: AlgebraElement, tol: Tolerances) -> float:
         raise NotScalarCombination(
             f"x x* + x* x equals {c!r} times the identity, which is not positive"
         )
-    return float(c.real)
+    c = float(c.real)
+    return (1.0 / math.sqrt(c)) * x, c
 
 
 def normalize_eigenvector(
@@ -128,16 +141,7 @@ def normalize_eigenvector(
     Requires x to be an eigenvector of phi at ``value`` and x x* + x* x to be
     a positive scalar multiple of the identity (automatic for ergodic maps).
     """
-    scale = element_norm(x)
-    if scale <= tol.eq_tol:
-        raise NotEigenvector("the zero element cannot be normalized")
-    residual = _eigen_residual(phi, value, x)
-    if residual > tol.eq_tol * max(1.0, scale):
-        raise NotEigenvector(
-            f"residual {residual:.3e} at eigenvalue {value!r} exceeds tolerance"
-        )
-    c = _normalization_scalar(x, tol)
-    return (1.0 / math.sqrt(c)) * x
+    return _normalized(phi, value, x, tol)[0]
 
 
 def _theta_scalar(xhat: AlgebraElement, tol: Tolerances) -> float:
@@ -237,12 +241,11 @@ def classify_eigenvector(
     derived projections and partial isometries do not satisfy their defining
     relations.
     """
-    xhat = normalize_eigenvector(phi, value, x, tol)
+    xhat, c = _normalized(phi, value, x, tol)
     square = xhat @ xhat
     if element_norm(square) <= tol.eq_tol:
         return _check_case1(xhat, tol)
     theta = _theta_scalar(xhat, tol)
-    norm_scale = math.sqrt(_normalization_scalar(x, tol))
     if abs(theta - 0.25) <= CASE_III_THETA_TOL:
         u = math.sqrt(2.0) * xhat
         one = xhat.algebra.identity()
@@ -251,7 +254,7 @@ def classify_eigenvector(
             raise InvariantViolated(
                 f"sqrt(2) x is not unitary (defect {defect:.3e})"
             )
-        return CaseIII(u=u, scale=complex(norm_scale / math.sqrt(2.0)))
+        return CaseIII(u=u, scale=complex(math.sqrt(c) / math.sqrt(2.0)))
     spread = math.sqrt(1.0 - 4.0 * theta)
     low = (1.0 - spread) / 2.0
     high = (1.0 + spread) / 2.0

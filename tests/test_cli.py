@@ -135,6 +135,20 @@ def test_classify_rejects_coefficient_count_mismatch(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--lam", "--lambda"])
+def test_classify_reads_negative_values_after_a_space(tmp_path, capsys, flag):
+    path = tmp_path / "ex2.json"
+    assert main(["example", "ex2", "--angle", "90", "--out", str(path)]) == 0
+    code = main(["classify", str(path), flag, "-1,0", "--coeffs", "-1,0", "--json"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["value"] == pytest.approx([-1.0, 0.0])
+    assert report["dimension"] == 1
+    assert [entry["case"] for entry in report["vectors"]] == ["III"]
+    assert report["combination"]["coefficients"] == [[-1.0, 0.0]]
+    assert report["combination"]["case"] == "III"
+
+
 def test_choi_on_single_block_map(tmp_path, capsys):
     path = _write_map(tmp_path)
     assert main(["choi", str(path), "--json"]) == 0
@@ -250,6 +264,15 @@ def test_example_command_round_trips_through_the_loader(tmp_path, capsys):
     assert main(["example", "psi_swap", "--json"]) == 0
     document = json.loads(capsys.readouterr().out)
     assert load_map_file(document).phi.algebra.blocks == (1, 1)
+
+
+def test_example_reads_a_negative_lambda0_after_a_space(capsys):
+    assert main(["example", "ex1", "--lambda0", "-1,0", "--json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["map"]["preset"]["lambda0"] == [-1.0, 0.0]
+    assert main(["example", "ex1", "--lambda0", "-0.6,-0.8", "--json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["map"]["preset"]["lambda0"] == [-0.6, -0.8]
 
 
 def test_example_command_requires_exactly_one_rotation_flag(capsys):

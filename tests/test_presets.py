@@ -16,6 +16,7 @@ from perispec import (
     build_psi_swap,
     element_norm,
     ergodicity_check,
+    from_action,
     group_closure_report,
     invariant_state,
     max_norm,
@@ -242,6 +243,42 @@ def test_psi_swap_exchanges_coordinates(tol):
     assert np.array_equal(phi.matrix, [[0.0, 1.0], [1.0, 0.0]])
     assert element_norm(phi(u) + u) < 1e-15  # eigenvector at -1
     assert element_norm(invariant_state(phi, tol).rho - state.rho) < 1e-12
+
+
+def _entrywise_example2(lam: complex, c: complex, s: complex) -> np.ndarray:
+    """Reference: ex2 built entry by entry, each entry's coordinate pair
+    mixed by psi(v) = (c v1 + s v2, s v1 + c v2), the diagonal averaged and
+    the off-diagonal rotated by lam."""
+    algebra = BlockAlgebra((2, 2))
+    lam = complex(lam)
+
+    def psi(v):
+        return np.array([c * v[0] + s * v[1], s * v[0] + c * v[1]])
+
+    def act(x):
+        b1, b2 = x.parts
+        a, b, c_, d = (np.array([b1[i, j], b2[i, j]]) for i, j in np.ndindex(2, 2))
+        mean = psi((a + d) / 2.0)
+        top = lam * psi(b)
+        bottom = lam.conjugate() * psi(c_)
+        return algebra.element(
+            [np.array([[mean[j], top[j]], [bottom[j], mean[j]]]) for j in (0, 1)]
+        )
+
+    return from_action(algebra, act).matrix
+
+
+@pytest.mark.parametrize("degrees", [90.0, 120.0, 240.0, 270.0, 37.0, 72.0, 200.5])
+def test_example2_equals_the_entrywise_construction(degrees):
+    lam = complex(np.cos(np.deg2rad(degrees)), np.sin(np.deg2rad(degrees)))
+    assert np.array_equal(build_example2(lam)[0].matrix, _entrywise_example2(lam, 0.0, 1.0))
+    family = build_example2_continuous(lam)
+    for t in (0.0, 0.5, 1.0, 1.7, 2.0, 2.5, 3.9):
+        w = unit_phase_power(-1.0 + 0.0j, t)
+        expected = _entrywise_example2(
+            unit_phase_power(lam, t), (1.0 + w) / 2.0, (1.0 - w) / 2.0
+        )
+        assert np.array_equal(family.builder(t).matrix, expected)
 
 
 @pytest.mark.parametrize(

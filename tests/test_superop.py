@@ -21,7 +21,6 @@ from perispec import (
     ergodicity_check,
     from_action,
     from_basis_action,
-    general_eigenvalues,
     group_closure_report,
     identity_superoperator,
     invariant_state,
@@ -220,7 +219,7 @@ def _null_space_spectrum(phi, tol):
     cluster of eigenvalues, as (value, basis columns) pairs."""
     values = [
         complex(v)
-        for v in general_eigenvalues(phi.matrix)
+        for v in np.linalg.eigvals(phi.matrix)
         if abs(abs(v) - 1.0) <= superop.PERIPHERAL_TOL
     ]
     points = []
