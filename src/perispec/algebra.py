@@ -34,7 +34,6 @@ __all__ = [
     "vectorize",
     "devectorize",
     "adjoint",
-    "jordan_product",
     "hermitian_eig",
     "hermitian_eigenvalues",
     "to_hermitian_basis",
@@ -121,9 +120,6 @@ class BlockAlgebra:
 
     def identity(self) -> "AlgebraElement":
         return self.element([np.eye(n) for n in self.blocks])
-
-    def zero(self) -> "AlgebraElement":
-        return self.element([np.zeros((n, n)) for n in self.blocks])
 
     def scalar(self, c: complex) -> "AlgebraElement":
         return self.element([c * np.eye(n) for n in self.blocks])
@@ -231,11 +227,6 @@ def devectorize(algebra: BlockAlgebra, v: np.ndarray) -> AlgebraElement:
 def adjoint(x: AlgebraElement) -> AlgebraElement:
     """Blockwise conjugate transpose."""
     return x.algebra.element([p.conj().T for p in x.parts])
-
-
-def jordan_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Symmetrized product (xy + yx) / 2."""
-    return 0.5 * (x @ y + y @ x)
 
 
 def _mix_pairs(algebra: BlockAlgebra, a: np.ndarray, mix: np.ndarray) -> np.ndarray:

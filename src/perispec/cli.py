@@ -61,21 +61,23 @@ from .superop import MERGE_TOL, PERIPHERAL_TOL, point_spectrum
 _INPUT_ERRORS = (MapFileError, BadLambda0, MultiBlockUnsupported, LambdaNotInSpectrum)
 
 # argparse takes a token that starts with '-' for an option unless it is a
-# plain number, so "--lam -1,0" would leave --lam without its value.
-_COMPLEX_OPTIONS = ("--lam", "--lambda", "--coeffs", "--lambda0")
+# plain number, so "--lam -1,0" would leave --lam without its value. Plain
+# negative numbers are left to argparse: after a flag they are positionals.
+_LONG_OPTION = re.compile(r"--[^=]+")
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
+_PLAIN_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
 
 
 def _parse_cli_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            value = complex(*map(float, parts))
+            if cmath.isfinite(value):
+                return value
     except ValueError:
         pass
-    raise MapFileError(f"cannot parse complex number from {text!r}; use RE or RE,IM")
+    raise MapFileError(f"cannot parse a finite complex number from {text!r}; use RE or RE,IM")
 
 
 def _parse_coeffs(text: str) -> list[complex]:
@@ -98,18 +100,24 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_tolerances(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9,
                         help="entrywise residual tolerance (default 1e-9)")
     parser.add_argument("--rank-tol", type=float, default=1e-8,
                         help="relative singular value cutoff (default 1e-8)")
     parser.add_argument("--psd-tol", type=float, default=1e-9,
                         help="eigenvalue nonnegativity slack (default 1e-9)")
+
+
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42,
                         help="seed for all sampling (default 42)")
     parser.add_argument("--samples", type=int, default=STANDARD_SAMPLES,
                         help="most pure inputs the positivity falsifier evaluates "
                         f"(default {STANDARD_SAMPLES})")
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output (reports are already JSON; "
@@ -137,7 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="snapshot time for continuous presets (default 1)")
     p.add_argument("--emit", default=None,
                    help="also write the analyzed map as an explicit map file")
-    _add_common(p)
+    _add_tolerances(p)
+    _add_sampling(p)
+    _add_output(p)
     _add_spectral(p)
 
     p = sub.add_parser("classify", help="classify eigenvectors at one eigenvalue")
@@ -148,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also classify this combination of the computed basis, "
                    "as RE,IM;RE,IM;...")
     p.add_argument("--t", type=float, default=None)
-    _add_common(p)
+    _add_tolerances(p)
+    _add_output(p)
     _add_spectral(p)
 
     p = sub.add_parser("positivity", help="block 2x2 criteria and transformations")
@@ -161,12 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("corner-swap", "congruence", "offdiag-swap"),
                    help="apply a positivity-preserving transformation instead "
                    "of a criterion")
-    _add_common(p)
+    _add_tolerances(p)
+    _add_output(p)
 
     p = sub.add_parser("choi", help="Choi matrix and complete positivity")
     p.add_argument("mapfile")
     p.add_argument("--t", type=float, default=None)
-    _add_common(p)
+    _add_tolerances(p)
+    _add_output(p)
 
     p = sub.add_parser("example", help="write a preset map file")
     p.add_argument("name", choices=PRESET_NAMES)
@@ -177,10 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="snapshot time stored for continuous presets")
     p.add_argument("--explicit", action="store_true",
                    help="write the superoperator matrix instead of the preset stanza")
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("suite", help="run the acceptance criteria")
-    _add_common(p)
+    _add_tolerances(p)
+    _add_sampling(p)
+    _add_output(p)
     return parser
 
 
@@ -386,10 +401,16 @@ _HANDLERS = {
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite "--lam -1,0" as "--lam=-1,0" for the complex-valued options."""
+    """Rewrite "--name -1,0" as "--name=-1,0" for every long option name,
+    abbreviations included, unless argparse already reads the value."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _COMPLEX_OPTIONS and _NEGATIVE_VALUE.match(token):
+        if (
+            out
+            and _LONG_OPTION.fullmatch(out[-1])
+            and _NEGATIVE_VALUE.match(token)
+            and not _PLAIN_NEGATIVE.fullmatch(token)
+        ):
             out[-1] += "=" + token
         else:
             out.append(token)

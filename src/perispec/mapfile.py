@@ -87,13 +87,16 @@ def dump_json(document: dict) -> str:
 
 def _parse_complex(obj, where: str) -> complex:
     if isinstance(obj, (int, float)):
-        return complex(float(obj), 0.0)
+        obj = (obj, 0.0)
     if (
         isinstance(obj, (list, tuple))
         and len(obj) == 2
         and all(isinstance(v, (int, float)) for v in obj)
     ):
-        return complex(float(obj[0]), float(obj[1]))
+        value = complex(float(obj[0]), float(obj[1]))
+        if np.isfinite(value):
+            return value
+        raise MapFileError(f"{where}: numbers must be finite")
     raise MapFileError(f"{where}: expected a number or [re, im] pair, got {obj!r}")
 
 
@@ -121,6 +124,8 @@ def _parse_matrix(obj, where: str) -> np.ndarray:
         raise MapFileError(f"{where}: expected a nonempty nested list")
     matrix = _numeric_matrix(obj)
     if matrix is not None:
+        if not np.isfinite(matrix).all():
+            raise MapFileError(f"{where}: entries must be finite")
         return matrix
     rows = []
     for i, row in enumerate(obj):
@@ -161,6 +166,8 @@ def _load_preset(stanza: dict, override_t: float | None) -> LoadedMap:
         if not isinstance(stanza["t"], (int, float)):
             raise MapFileError("map.preset.t must be a number")
         t = float(stanza["t"])
+    if t is not None and not np.isfinite(t):
+        raise MapFileError(f"t = {t!r} is not finite")
     if name == "ex1":
         phi, _, manifest = build_example1(lambda0)
         return LoadedMap(phi=phi, manifest=manifest)

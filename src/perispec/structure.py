@@ -53,7 +53,6 @@ __all__ = [
     "normalize_eigenvector",
     "classify_eigenvector",
     "reconstruct",
-    "partial_isometry_check",
 ]
 
 # Width of the theta window around 1/4 inside which an eigenvector is treated
@@ -309,18 +308,3 @@ def reconstruct(classification: Classification) -> AlgebraElement:
     if isinstance(classification, CaseIII):
         return (1.0 / math.sqrt(2.0)) * classification.u
     raise TypeError(f"not a classification: {classification!r}")
-
-
-def partial_isometry_check(
-    v: AlgebraElement, tol: Tolerances = DEFAULT_TOL
-) -> tuple[AlgebraElement, AlgebraElement] | None:
-    """The pair (initial, final) projection when v is a partial isometry,
-    None otherwise."""
-    initial = adjoint(v) @ v
-    final = v @ adjoint(v)
-    for candidate in (initial, final):
-        if element_norm(candidate - adjoint(candidate)) > tol.eq_tol:
-            return None
-        if element_norm(candidate @ candidate - candidate) > 10.0 * tol.eq_tol:
-            return None
-    return initial, final

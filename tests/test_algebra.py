@@ -1,10 +1,14 @@
 """Block algebra primitives: vectorization, eigensolvers, polar parts."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perispec
 from perispec import (
     BlockAlgebra,
     NotHermitian,
@@ -14,7 +18,6 @@ from perispec import (
     devectorize,
     element_norm,
     hermitian_eig,
-    jordan_product,
     max_norm,
     null_space,
     polar_decomposition,
@@ -22,6 +25,7 @@ from perispec import (
     vectorize,
 )
 from perispec.algebra import (
+    column_space,
     from_hermitian_basis,
     general_eig,
     hermitian_basis_form,
@@ -87,9 +91,10 @@ def test_adjoint_and_jordan_product_properties(two_blocks):
     y = random_element(two_blocks, rng)
     assert element_norm(adjoint(adjoint(x)) - x) == 0.0
     assert element_norm(adjoint(x @ y) - adjoint(y) @ adjoint(x)) < 1e-12
-    sym = jordan_product(x, y)
-    assert element_norm(sym - jordan_product(y, x)) == 0.0
-    assert element_norm(sym - 0.5 * (x @ y + y @ x)) == 0.0
+    # the symmetrized product commutes with the adjoint
+    xs, ys = adjoint(x), adjoint(y)
+    sym = 0.5 * (x @ y + y @ x)
+    assert element_norm(adjoint(sym) - 0.5 * (xs @ ys + ys @ xs)) < 1e-12
 
 
 FROZEN_HERMITIAN = [
@@ -269,6 +274,33 @@ def test_null_space_of_invertible_matrix_is_empty():
     assert null_space(np.array([[2.0, 1.0], [0.0, 3.0]])) == []
 
 
+def test_column_space_is_an_orthonormal_basis_cut_at_the_relative_rank_tol():
+    rng = rng_for(13)
+    left, _ = np.linalg.qr(random_complex(rng, 5, 3))
+    right, _ = np.linalg.qr(random_complex(rng, 4, 3))
+    tol = Tolerances()
+    # the cut sits at rank_tol * s_max = 2e-8, at every scale of the input
+    for third, rank in ((1e-8, 2), (5e-8, 3)):
+        for scale in (1.0, 1e-10):
+            m = scale * (left * [2.0, 0.5, third]) @ right.conj().T
+            basis = column_space(m, tol)
+            assert basis.shape == (5, rank)
+            assert max_norm(basis.conj().T @ basis - np.eye(rank)) < 1e-12
+            # the columns span the leading singular directions
+            projector = basis @ basis.conj().T
+            assert max_norm(projector @ left[:, :2] - left[:, :2]) < 1e-12
+    real = column_space(rng.standard_normal((4, 2)) @ rng.standard_normal((2, 3)), tol)
+    assert real.dtype == np.float64 and real.shape == (4, 2)
+    assert column_space(np.zeros((3, 3)), tol).shape == (3, 0)
+
+
+def test_every_name_in_each_all_resolves():
+    for info in pkgutil.iter_modules(perispec.__path__):
+        module = importlib.import_module(f"perispec.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, (info.name, missing)
+
+
 def test_polar_decomposition_frozen_antidiagonal():
     x = np.array([[0.0, 0.6], [0.8, 0.0]])
     u, p = polar_decomposition(x)
@@ -300,7 +332,7 @@ def test_scalar_multiple_detection(two_blocks):
     x = two_blocks.identity()
     bumped = x + 1e-3 * list(two_blocks.basis())[1]
     assert scalar_multiple_of_identity(bumped) is None
-    assert scalar_multiple_of_identity(two_blocks.zero()) == 0.0
+    assert scalar_multiple_of_identity(two_blocks.scalar(0.0)) == 0.0
 
 
 @settings(max_examples=25, deadline=None)

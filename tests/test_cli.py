@@ -135,11 +135,10 @@ def test_classify_rejects_coefficient_count_mismatch(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag", ["--lam", "--lambda"])
-def test_classify_reads_negative_values_after_a_space(tmp_path, capsys, flag):
+def _classify_ex2_at_minus_one(tmp_path, capsys, lam_flag, coeffs_flag):
     path = tmp_path / "ex2.json"
     assert main(["example", "ex2", "--angle", "90", "--out", str(path)]) == 0
-    code = main(["classify", str(path), flag, "-1,0", "--coeffs", "-1,0", "--json"])
+    code = main(["classify", str(path), lam_flag, "-1,0", coeffs_flag, "-1,0", "--json"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["value"] == pytest.approx([-1.0, 0.0])
@@ -147,6 +146,18 @@ def test_classify_reads_negative_values_after_a_space(tmp_path, capsys, flag):
     assert [entry["case"] for entry in report["vectors"]] == ["III"]
     assert report["combination"]["coefficients"] == [[-1.0, 0.0]]
     assert report["combination"]["case"] == "III"
+
+
+@pytest.mark.parametrize("flag", ["--lam", "--lambda"])
+def test_classify_reads_negative_values_after_a_space(tmp_path, capsys, flag):
+    _classify_ex2_at_minus_one(tmp_path, capsys, flag, "--coeffs")
+
+
+@pytest.mark.parametrize("lam_flag", ["--lam", "--lambd"])
+def test_classify_reads_negative_values_after_abbreviated_options(
+    tmp_path, capsys, lam_flag
+):
+    _classify_ex2_at_minus_one(tmp_path, capsys, lam_flag, "--coe")
 
 
 def test_choi_on_single_block_map(tmp_path, capsys):
@@ -237,8 +248,12 @@ def test_positivity_transforms_report_result_blocks(tmp_path, capsys):
         '{"map": {}}',
         '{"block2": [1, 2]}',
         '{"block2": {"a": [[1]], "b": [[0]], "c": [[0]]}}',
+        '{"block2": {"a": [[NaN]], "b": [[0]], "c": [[0]], "d": [[1]]}}',
     ],
-    ids=["missing", "invalid-json", "top-level-list", "no-block2", "not-object", "no-d"],
+    ids=[
+        "missing", "invalid-json", "top-level-list", "no-block2", "not-object", "no-d",
+        "nan-entry",
+    ],
 )
 def test_malformed_block2_files_exit_two(tmp_path, capsys, content):
     path = tmp_path / "block.json"
@@ -309,6 +324,58 @@ def test_malformed_map_files_exit_two(tmp_path, capsys, content):
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"algebra": {"blocks": [1]}, "map": {"superop": [[NaN]]}}',
+        '{"algebra": {"blocks": [1]}, "map": {"superop": [[[1e400, 0]]]}}',
+        '{"algebra": {"blocks": [1, 1]}, "map": {"superop": [[1, [NaN, 0]], [[0, 0], 1]]}}',
+        '{"map": {"preset": {"name": "ex1", "lambda0": [NaN, 0]}}}',
+        '{"map": {"preset": {"name": "ex1c", "lambda0": [0, 1], "t": Infinity}}}',
+    ],
+    ids=["nan-superop", "overflow-superop", "nan-in-mixed-row", "nan-lambda0", "infinite-t"],
+)
+def test_non_finite_map_files_exit_two(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    assert main(["analyze", str(path), *FAST]) == 2
+    assert "MapFileError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["example", "ex1", "--lambda0", "nan,0"], ["example", "ex1", "--lambda0", "0,inf"]],
+    ids=["nan", "inf"],
+)
+def test_non_finite_cli_values_exit_two(capsys, argv):
+    assert main(argv) == 2
+    assert "MapFileError" in capsys.readouterr().err
+
+
+def test_non_finite_snapshot_time_exits_two(tmp_path, capsys):
+    path = _write_map(tmp_path, name="ex1c")
+    assert main(["analyze", str(path), "--t", "inf", *FAST]) == 2
+    assert "MapFileError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "map.json", "--lam", "1,0", "--seed", "1"],
+        ["choi", "map.json", "--samples", "10"],
+        ["positivity", "block.json", "--seed", "1"],
+        ["example", "ex1", "--angle", "72", "--tol", "1e-9"],
+        ["example", "ex1", "--angle", "72", "--samples", "10"],
+    ],
+    ids=["classify-seed", "choi-samples", "positivity-seed", "example-tol", "example-samples"],
+)
+def test_subcommands_reject_options_they_never_read(capsys, argv):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bad_tolerance_flag_exits_two(tmp_path, capsys):

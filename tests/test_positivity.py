@@ -27,7 +27,6 @@ from perispec import (
     criterion_epsilon,
     criterion_epsilon_prime,
     from_action,
-    identity_superoperator,
     offdiag_swap_under_hypotheses,
     oracle_psd,
     randomized_positivity_falsifier,
@@ -340,7 +339,7 @@ def test_offdiag_swap_rejects_indefinite_input():
 
 def test_choi_matrix_of_identity_map_is_rank_one():
     algebra = BlockAlgebra((2,))
-    choi = choi_matrix(identity_superoperator(algebra))
+    choi = choi_matrix(Superoperator(algebra, np.eye(algebra.dim)))
     w = np.linalg.eigvalsh(choi)
     assert np.allclose(w, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
 
@@ -391,8 +390,9 @@ def test_complete_positivity_verdicts():
     assert np.array_equal(choi, choi_matrix(phi))
     assert least == pytest.approx(-0.5, abs=1e-12)
     assert not completely_positive
+    algebra = BlockAlgebra((3,))
     _, least, completely_positive = complete_positivity(
-        identity_superoperator(BlockAlgebra((3,)))
+        Superoperator(algebra, np.eye(algebra.dim))
     )
     assert least == pytest.approx(0.0, abs=1e-12)
     assert completely_positive
@@ -401,7 +401,7 @@ def test_complete_positivity_verdicts():
 def test_choi_matrix_rejects_multi_block_algebras():
     algebra = BlockAlgebra((2, 2))
     with pytest.raises(MultiBlockUnsupported):
-        choi_matrix(identity_superoperator(algebra))
+        choi_matrix(Superoperator(algebra, np.eye(algebra.dim)))
 
 
 def test_falsifier_passes_positive_map_and_is_deterministic():

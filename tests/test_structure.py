@@ -11,16 +11,14 @@ from perispec import (
     InvariantViolated,
     NotEigenvector,
     NotScalarCombination,
+    Superoperator,
     adjoint,
     build_example1,
     build_example2,
     case_tag,
     classify_eigenvector,
     element_norm,
-    hermitian_eig,
-    identity_superoperator,
     normalize_eigenvector,
-    partial_isometry_check,
     reconstruct,
 )
 
@@ -56,7 +54,7 @@ def test_normalize_rejects_non_eigenvectors(tol):
 
 def test_normalize_rejects_non_scalar_combinations(tol):
     algebra = BlockAlgebra((2,))
-    ident = identity_superoperator(algebra)
+    ident = Superoperator(algebra, np.eye(algebra.dim))
     # every element is fixed, but x x* + x* x is not scalar for a projection
     with pytest.raises(NotScalarCombination):
         normalize_eigenvector(ident, 1.0, _mat2_element([[1, 0], [0, 0]]), tol)
@@ -201,25 +199,3 @@ def test_case_tags_cover_all_three_shapes(tol):
     combo = classify_eigenvector(phi, 1j, 0.3 * v1 + np.sqrt(0.91) * v2, tol)
     assert case_tag(combo) == "II"
 
-
-def test_partial_isometry_check_accepts_matrix_units():
-    v = _mat2_element([[0, 1], [0, 0]])
-    pair = partial_isometry_check(v)
-    assert pair is not None
-    initial, final = pair
-    assert np.allclose(initial.parts[0], [[0, 0], [0, 1]])
-    assert np.allclose(final.parts[0], [[1, 0], [0, 0]])
-
-
-def test_partial_isometry_check_accepts_unitaries():
-    v = _mat2_element([[0, 1j], [1, 0]])
-    pair = partial_isometry_check(v)
-    assert pair is not None
-    initial, final = pair
-    ident = v.algebra.identity()
-    assert element_norm(initial - ident) < 1e-12
-    assert element_norm(final - ident) < 1e-12
-
-
-def test_partial_isometry_check_rejects_contractions():
-    assert partial_isometry_check(_mat2_element([[1, 0], [0, 0.5]])) is None

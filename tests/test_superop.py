@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from perispec import (
+    AlgebraMismatch,
     BlockAlgebra,
     ContinuousFamily,
     NoPositiveFixedState,
@@ -15,21 +16,17 @@ from perispec import (
     build_example2,
     build_example2_continuous,
     build_psi_swap,
-    compose,
     continuous_eigen_check,
+    devectorize,
     element_norm,
     ergodicity_check,
     from_action,
-    from_basis_action,
     group_closure_report,
-    identity_superoperator,
     invariant_state,
     jordan_closure_check,
-    jordan_product,
     max_norm,
     null_space,
     point_spectrum,
-    power,
     semigroup_law_check,
     star_closure_check,
     unitality_check,
@@ -53,21 +50,6 @@ def _conjugation(algebra: BlockAlgebra, u: np.ndarray) -> Superoperator:
     )
 
 
-def test_identity_superoperator_fixes_everything(two_blocks):
-    ident = identity_superoperator(two_blocks)
-    x = random_element(two_blocks, rng_for(20))
-    assert element_norm(ident(x) - x) == 0.0
-    assert unitality_check(ident)
-
-
-def test_from_action_matches_from_basis_action(mat2):
-    u = np.array([[0.0, 1.0], [1.0, 0.0]])
-    via_action = _conjugation(mat2, u)
-    images = [via_action(b) for b in mat2.basis()]
-    via_basis = from_basis_action(mat2, images)
-    assert np.array_equal(via_action.matrix, via_basis.matrix)
-
-
 def test_apply_is_linear_and_compose_matches_matrix_product(mat2):
     rng = rng_for(21)
     phi, _, _ = build_example1(GENERIC)
@@ -75,9 +57,14 @@ def test_apply_is_linear_and_compose_matches_matrix_product(mat2):
     x = random_element(mat2, rng)
     y = random_element(mat2, rng)
     assert element_norm(phi(x + 2j * y) - (phi(x) + 2j * phi(y))) < 1e-12
-    chained = compose(phi, psi)
+    chained = Superoperator(mat2, phi.matrix @ psi.matrix)
     assert element_norm(chained(x) - phi(psi(x))) < 1e-12
-    assert np.allclose(power(phi, 3).matrix, phi.matrix @ phi.matrix @ phi.matrix)
+
+
+def test_from_action_rejects_images_in_another_algebra(mat2):
+    other = BlockAlgebra((1, 1, 1, 1))
+    with pytest.raises(AlgebraMismatch):
+        from_action(mat2, lambda x: devectorize(other, vectorize(x)))
 
 
 def test_unitality_check_rejects_scaled_identity(mat2):
@@ -114,7 +101,7 @@ def test_point_spectrum_merges_nearby_values():
 def test_ergodicity_distinguishes_examples(mat2, tol):
     phi, _, _ = build_example1(GENERIC)
     assert ergodicity_check(phi, tol)
-    assert not ergodicity_check(identity_superoperator(mat2), tol)
+    assert not ergodicity_check(Superoperator(mat2, np.eye(mat2.dim)), tol)
     diagonal_fixer = _conjugation(mat2, np.diag([1.0, -1.0]))
     assert not ergodicity_check(diagonal_fixer, tol)
 
@@ -413,7 +400,7 @@ def _jordan_reference(phi, spectrum, tol):
         for i, x in enumerate(p1.basis):
             for p2 in spectrum.points:
                 for j, y in enumerate(p2.basis):
-                    product = jordan_product(x, y)
+                    product = 0.5 * (x @ y + y @ x)
                     drift = apply(phi, product) - p1.value * p2.value * product
                     vanished = element_norm(product) <= tol.eq_tol
                     entries.append(
@@ -620,24 +607,22 @@ def test_cyclic_phase_conjugation_spectrum_is_a_group(tol):
     assert group_closure_report(spectrum).is_group
 
 
-def test_semigroup_law_holds_for_continuous_families(tol):
+def test_semigroup_law_holds_for_continuous_families():
     pairs = [(0.3, 1.7), (2.0, 2.0), (0.01, 4.99)]
     for family in (
         build_example1_continuous(GENERIC),
         build_example2_continuous(GENERIC),
     ):
-        report = semigroup_law_check(family, pairs, tol)
-        assert report.max_residual < 1e-12
-        assert report.zero_time_note is not None
+        assert semigroup_law_check(family, pairs) < 1e-12
+        assert family.zero_time_note is not None
 
 
-def test_semigroup_law_detects_violations(mat2, tol):
+def test_semigroup_law_detects_violations(mat2):
     phi, _, _ = build_example1(GENERIC)
     broken = ContinuousFamily(
         mat2, lambda t: Superoperator(mat2, (1.0 + t) * phi.matrix)
     )
-    report = semigroup_law_check(broken, [(1.0, 1.0)], tol)
-    assert report.max_residual > 0.1
+    assert semigroup_law_check(broken, [(1.0, 1.0)]) > 0.1
 
 
 def test_analyze_reports_whether_a_family_starts_at_the_identity(mat2, tol):
@@ -652,7 +637,7 @@ def test_analyze_reports_whether_a_family_starts_at_the_identity(mat2, tol):
     assert "zero_time_note" not in continuous
 
 
-def test_continuous_eigen_check_uses_principal_phase_by_default(tol):
+def test_continuous_eigen_check_uses_principal_phase_by_default():
     family = build_example1_continuous(GENERIC)
     _, _, manifest = build_example1(GENERIC)
     index = next(
@@ -662,10 +647,10 @@ def test_continuous_eigen_check_uses_principal_phase_by_default(tol):
     )
     x = manifest.canonical_eigenvectors[index][0]
     ts = [0.25, 0.5, 1.0, 2.5, 4.0]
-    assert continuous_eigen_check(family, GENERIC, x, ts, tol) < 1e-12
+    assert continuous_eigen_check(family, GENERIC, x, ts) < 1e-12
 
 
-def test_continuous_eigen_check_needs_winding_phase_beyond_principal_branch(tol):
+def test_continuous_eigen_check_needs_winding_phase_beyond_principal_branch():
     family = build_example2_continuous(GENERIC)
     _, manifest = build_example2(GENERIC)
     index = next(
@@ -677,7 +662,5 @@ def test_continuous_eigen_check_needs_winding_phase_beyond_principal_branch(tol)
     winding = manifest.continuous_phases[index][0]
     ts = [0.25, 0.75, 1.5, 3.0]
     # the sector winds faster than the principal argument of its eigenvalue
-    assert continuous_eigen_check(family, -GENERIC, x, ts, tol) > 0.1
-    assert (
-        continuous_eigen_check(family, -GENERIC, x, ts, tol, phase=winding) < 1e-12
-    )
+    assert continuous_eigen_check(family, -GENERIC, x, ts) > 0.1
+    assert continuous_eigen_check(family, -GENERIC, x, ts, phase=winding) < 1e-12
