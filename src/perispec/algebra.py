@@ -63,8 +63,10 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("eq_tol", "rank_tol", "psd_tol"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if not 0.0 < value < np.inf:
+                raise ValueError(
+                    f"{name} must be finite and strictly positive, got {value!r}"
+                )
 
 
 DEFAULT_TOL = Tolerances()

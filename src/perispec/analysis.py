@@ -139,13 +139,8 @@ def _group_entry(spectrum: PointSpectrum) -> dict:
         "is_group": bool(report.is_group),
         "has_identity": bool(report.has_identity),
         "conjugation_closed": bool(report.conjugation_closed),
-        "missing": [
-            {
-                "factors": [complex_to_pair(lam), complex_to_pair(mu)],
-                "product": complex_to_pair(product),
-            }
-            for lam, mu, product in report.missing
-        ],
+        # [a, b]: point_spectrum[a].value * point_spectrum[b].value is missing
+        "missing": report.missing_pairs,
     }
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import re
 import sys
 from pathlib import Path
@@ -91,6 +92,19 @@ def _tolerances(args: argparse.Namespace) -> Tolerances:
         )
     except ValueError as exc:
         raise MapFileError(str(exc)) from exc
+
+
+def _check_counts_and_radii(args: argparse.Namespace) -> None:
+    """Reject a spectral radius that is not finite and nonnegative, and a
+    sample count below 1, before any work starts."""
+    for name in ("peripheral_tol", "merge_tol"):
+        value = getattr(args, name, 0.0)
+        if not 0.0 <= value < math.inf:
+            raise MapFileError(
+                f"--{name.replace('_', '-')} must be finite and nonnegative, got {value!r}"
+            )
+    if getattr(args, "samples", 1) < 1:
+        raise MapFileError(f"--samples must be at least 1, got {args.samples}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -423,6 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         _attach_negative_values(sys.argv[1:] if argv is None else argv)
     )
     try:
+        _check_counts_and_radii(args)
         return _HANDLERS[args.command](args)
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error ({type(exc).__name__}): {exc}\n")

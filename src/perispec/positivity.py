@@ -104,8 +104,8 @@ class EpsilonSchedule:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("the epsilon schedule must be nonempty")
-        if any(v <= 0.0 for v in values):
-            raise ValueError("epsilon values must be strictly positive")
+        if not all(0.0 < v < np.inf for v in values):
+            raise ValueError("epsilon values must be finite and strictly positive")
         if any(u <= v for u, v in zip(values, values[1:])):
             raise ValueError("epsilon values must be strictly decreasing")
         object.__setattr__(self, "values", values)

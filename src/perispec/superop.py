@@ -169,14 +169,23 @@ class JordanClosureReport:
 class GroupClosureReport:
     """Whether the peripheral eigenvalues form a group under multiplication.
 
-    ``missing`` lists triples (lam, mu, lam * mu) whose product is not among
-    the spectral values within the closure radius.
+    ``values`` are the spectral values in the order of the point spectrum.
+    Each pair [a, b] of ``missing_pairs`` indexes two of them whose product
+    values[a] * values[b] is not among the spectral values within the
+    closure radius; the pairs are in row-major order, as plain lists ready
+    for JSON. ``missing`` derives the triples (lam, mu, lam * mu) from them.
     """
 
     is_group: bool
     has_identity: bool
     conjugation_closed: bool
-    missing: tuple[tuple[complex, complex, complex], ...]
+    values: tuple[complex, ...]
+    missing_pairs: list[list[int]]
+
+    @property
+    def missing(self) -> tuple[tuple[complex, complex, complex], ...]:
+        v = self.values
+        return tuple((v[a], v[b], v[a] * v[b]) for a, b in self.missing_pairs)
 
 
 @dataclass(frozen=True)
@@ -489,10 +498,10 @@ def group_closure_report(
     """Decide whether the spectral values form a multiplicative group.
 
     Unit-modulus values form a group exactly when they contain 1, are closed
-    under conjugation, and are closed under pairwise products; each product
-    failure is listed.
+    under conjugation, and are closed under pairwise products. Each product
+    failure is listed as the index pair of its factors in ``spectrum.values``.
     """
-    values = list(spectrum.values)
+    values = spectrum.values
     k = len(values)
     v = np.array(values, dtype=np.complex128)
     # real arithmetic rounds each product exactly as Python's lam * mu does
@@ -512,16 +521,13 @@ def group_closure_report(
         present[inside] |= np.abs(queries[inside] - ordered[index[inside]]) <= closure_tol
     has_identity = bool(present[0])
     conjugation_closed = bool(np.all(present[1 : k + 1]))
-    missing = [
-        (values[a], values[b], values[a] * values[b])
-        for a, b in zip(*np.nonzero(~present[k + 1 :].reshape(k, k)))
-    ]
-    is_group = has_identity and conjugation_closed and not missing
+    missing_pairs = np.argwhere(~present[k + 1 :].reshape(k, k)).tolist()
     return GroupClosureReport(
-        is_group=is_group,
+        is_group=has_identity and conjugation_closed and not missing_pairs,
         has_identity=has_identity,
         conjugation_closed=conjugation_closed,
-        missing=tuple(missing),
+        values=values,
+        missing_pairs=missing_pairs,
     )
 
 

@@ -36,7 +36,7 @@ from perispec.algebra import (
 from conftest import random_complex, random_element, random_hermitian, rng_for
 
 
-@pytest.mark.parametrize("bad", [0.0, -1e-9])
+@pytest.mark.parametrize("bad", [0.0, -1e-9, float("inf"), float("nan")])
 @pytest.mark.parametrize("field", ["eq_tol", "rank_tol", "psd_tol"])
 def test_tolerances_must_be_positive(field, bad):
     kwargs = {field: bad}

@@ -382,3 +382,47 @@ def test_bad_tolerance_flag_exits_two(tmp_path, capsys):
     path = _write_map(tmp_path)
     assert main(["analyze", str(path), "--tol", "-1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "option,value",
+    [
+        ("--tol", "inf"),
+        ("--rank-tol", "inf"),
+        ("--psd-tol", "inf"),
+        ("--merge-tol", "nan"),
+        ("--merge-tol", "inf"),
+        ("--merge-tol", "-1e-7"),
+        ("--peripheral-tol", "inf"),
+        ("--peripheral-tol", "nan"),
+        ("--peripheral-tol", "-1e-7"),
+        ("--samples", "0"),
+        ("--samples", "-3"),
+    ],
+)
+def test_analyze_rejects_non_finite_or_out_of_range_options(tmp_path, capsys, option, value):
+    path = _write_map(tmp_path)
+    assert main(["analyze", str(path), option, value]) == 2
+    assert "MapFileError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--merge-tol", "--peripheral-tol"])
+def test_classify_rejects_an_infinite_spectral_radius(tmp_path, capsys, option):
+    path = _write_map(tmp_path)
+    assert main(["classify", str(path), "--lam", "1,0", option, "inf"]) == 2
+    assert "MapFileError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule", ["nan,0.1", "1,nan", "inf,1"])
+def test_non_finite_schedules_exit_two(tmp_path, capsys, schedule):
+    path = tmp_path / "block.json"
+    path.write_text('{"block2": {"a": [[1]], "b": [[0]], "c": [[0]], "d": [[1]]}}')
+    assert main(["positivity", str(path), "--schedule", schedule]) == 2
+    assert "MapFileError" in capsys.readouterr().err
+
+
+def test_suite_rejects_a_zero_sample_count_as_input(capsys):
+    assert main(["suite", "--samples", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "MapFileError" in captured.err
+    assert captured.out == ""

@@ -14,8 +14,10 @@ from perispec import (
     build_example1,
     build_example2,
     dump_json,
+    group_closure_report,
     load_block2_file,
     load_map_file,
+    point_spectrum,
 )
 from perispec.analysis import analyze
 from perispec.mapfile import _numeric_matrix, _parse_matrix, matrix_to_json
@@ -192,6 +194,44 @@ def test_reports_round_trip_with_sorted_keys_and_one_object_per_line(name):
             assert col == len(line) - 1, line
             following = lines[row + 1]
             assert len(following) - len(following.lstrip(" ")) == indent + 2
+
+
+def _closure_maps():
+    u = random_unitary(rng_for(45), 6)
+    return {
+        "ex1-generic": build_example1(GENERIC)[0],
+        "ex2-generic": build_example2(GENERIC)[0],
+        "ex2-at-i": build_example2(1j)[0],
+        "conj-n6": Superoperator(BlockAlgebra((6,)), np.kron(u, u.conj())),
+    }
+
+
+CLOSURE_MAPS = _closure_maps()
+
+
+@pytest.mark.parametrize("name", CLOSURE_MAPS)
+def test_missing_pairs_rebuild_the_triples_bit_for_bit(name):
+    phi = CLOSURE_MAPS[name]
+    text = dump_json(analyze(phi, samples=100))
+    report = json.loads(text)
+    points = report["point_spectrum"]
+    rebuilt = []
+    for a, b in report["group_closure"]["missing"]:
+        lam, mu = complex(*points[a]["value"]), complex(*points[b]["value"])
+        rebuilt.append((lam, mu, lam * mu))
+    closure = group_closure_report(point_spectrum(phi))
+    assert tuple(rebuilt) == closure.missing
+    assert report["group_closure"] == {
+        "is_group": closure.is_group,
+        "has_identity": closure.has_identity,
+        "conjugation_closed": closure.conjugation_closed,
+        "missing": closure.missing_pairs,
+    }
+    assert closure.is_group == (name == "ex2-at-i")
+    assert bool(closure.missing) != closure.is_group
+    # the whole list is one leaf on one line, the last of its section
+    line = next(ln for ln in text.splitlines() if ln.lstrip().startswith('"missing": '))
+    assert json.loads(line.split(": ", 1)[1]) == report["group_closure"]["missing"]
 
 
 def test_objects_in_lists_are_spread_and_leaves_sit_on_one_line():

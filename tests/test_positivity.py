@@ -68,7 +68,10 @@ def test_oracle_accepts_psd():
 
 @pytest.mark.parametrize(
     "values",
-    [(), (1.0, 1.0), (0.1, 1.0), (1.0, -0.1), (1.0, 0.0)],
+    [
+        (), (1.0, 1.0), (0.1, 1.0), (1.0, -0.1), (1.0, 0.0),
+        (float("nan"), 0.1), (1.0, float("nan")), (float("inf"), 1.0),
+    ],
 )
 def test_epsilon_schedule_rejects_bad_values(values):
     with pytest.raises(ValueError):
