@@ -271,21 +271,37 @@ def hermitian_basis_form(algebra: BlockAlgebra, m: np.ndarray) -> tuple[np.ndarr
 
 
 def _checked_hermitian(h, tol: Tolerances) -> np.ndarray:
+    """h as complex128, a matrix or a stack (..., n, n) of them, each checked
+    against its own scale."""
     h = np.asarray(h, dtype=np.complex128)
-    defect = max_norm(h - h.conj().T)
-    if defect > tol.eq_tol * max(1.0, max_norm(h)):
-        raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e}")
+    if h.ndim <= 2:
+        defect = max_norm(h - h.conj().T)
+        if defect > tol.eq_tol * max(1.0, max_norm(h)):
+            raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e}")
+        return h
+    defect = np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
+    failed = np.argwhere(defect > tol.eq_tol * scale)
+    if failed.size:
+        index = tuple(int(i) for i in failed[0])
+        raise NotHermitian(
+            f"matrix {index} of the stack deviates from Hermitian by "
+            f"{defect[index]:.3e}"
+        )
     return h
 
 
 def hermitian_eig(
     h: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
+    (..., n, n).
 
     Returns ascending real eigenvalues and a matrix whose columns are the
-    matching orthonormal eigenvectors. Raises :class:`NotHermitian` when the
-    input deviates from its conjugate transpose beyond tolerance.
+    matching orthonormal eigenvectors, stacked like the input. Each matrix of
+    a stack comes out bit for bit as if decomposed alone. Raises
+    :class:`NotHermitian` when an input matrix deviates from its conjugate
+    transpose beyond tolerance.
     """
     h = _checked_hermitian(h, tol)
     try:
@@ -296,9 +312,9 @@ def hermitian_eig(
 
 
 def hermitian_eigenvalues(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, without the eigenvectors,
-    which LAPACK computes several times faster at large sizes. The input is
-    checked as in :func:`hermitian_eig`."""
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
+    stack, without the eigenvectors, which LAPACK computes several times
+    faster at large sizes. The input is checked as in :func:`hermitian_eig`."""
     h = _checked_hermitian(h, tol)
     try:
         return np.linalg.eigvalsh(h)

@@ -32,6 +32,7 @@ from .algebra import (
 )
 from .errors import (
     CommutationViolated,
+    ConvergenceFailure,
     DimensionMismatch,
     HypothesesViolated,
     MultiBlockUnsupported,
@@ -229,7 +230,9 @@ def _schur_family(
     In the plain orientation the defect is d - b*(a + eps)^(-1) b; mirrored
     swaps the roles of the corners: a - b (d + eps)^(-1) b*. One
     eigendecomposition of the regularized corner serves its PSD check and
-    every epsilon.
+    every epsilon. The defects of the whole schedule are built as one stack
+    and decomposed by one call; the first epsilon in schedule order whose
+    defect fails decides.
     """
     corner = "d" if mirrored else "a"
     decomposed = {corner: None}
@@ -237,15 +240,24 @@ def _schur_family(
     if failed is not None:
         return failed
     w, v = decomposed[corner]
-    for eps in schedule.values:
-        inv = (v * (1.0 / (w + eps))) @ v.conj().T
-        if mirrored:
-            defect = m.a - m.b @ inv @ m.b.conj().T
-        else:
-            defect = m.d - m.b.conj().T @ inv @ m.b
-        defect = 0.5 * (defect + defect.conj().T)
-        reason = f"Schur defect not PSD at epsilon={eps:g}"
-        failed = _oracle_check(defect, tol, reason, epsilon=eps, defect=defect)
+    eps = np.array(schedule.values)
+    inv = (v * (1.0 / (w + eps[:, None]))[:, None, :]) @ v.conj().T
+    if mirrored:
+        defects = m.a - m.b @ inv @ m.b.conj().T
+    else:
+        defects = m.d - m.b.conj().T @ inv @ m.b
+    defects = 0.5 * (defects + np.swapaxes(defects, -1, -2).conj())
+    try:
+        eigs = zip(*hermitian_eig(defects, tol))
+    except ConvergenceFailure:
+        # LAPACK gave up on the stack, which a non-finite defect can cause:
+        # take the epsilons one at a time, so the first to fail still decides
+        eigs = (hermitian_eig(defect, tol) for defect in defects)
+    for value, defect, eig in zip(schedule.values, defects, eigs):
+        reason = f"Schur defect not PSD at epsilon={value:g}"
+        failed = _oracle_check(
+            defect, tol, reason, eig, epsilon=value, defect=defect
+        )
         if failed is not None:
             return failed
     return PositivityVerdict(True)

@@ -145,24 +145,54 @@ class InvariantState:
 @dataclass(frozen=True)
 class StarClosureReport:
     """Residuals of the adjoint of each eigenvector against the conjugate
-    eigenvalue."""
+    eigenvalue.
+
+    ``labels`` are the (value, index) of every basis vector of the point
+    spectrum in order, and ``residual`` holds one residual per label.
+    ``entries`` derives the triples (value, index, residual) from them.
+    """
 
     max_residual: float
-    entries: tuple[tuple[complex, int, float], ...]
+    labels: list[tuple[complex, int]]
+    residual: np.ndarray
+
+    @property
+    def entries(self) -> tuple[tuple[complex, int, float], ...]:
+        return tuple(
+            (value, i, r) for (value, i), r in zip(self.labels, self.residual.tolist())
+        )
 
 
 @dataclass(frozen=True)
 class JordanClosureReport:
     """Residuals of symmetrized products of eigenvectors against the product
-    eigenvalue. Entries record (value1, index1, value2, index2, residual,
-    vanished); products below tolerance are closed vacuously."""
+    eigenvalue; products below tolerance are closed vacuously.
+
+    ``residual`` and ``vanished`` are indexed by ordered pairs of the basis
+    vectors named in ``labels``, as in :class:`StarClosureReport`.
+    ``entries`` derives the tuples (value1, index1, value2, index2,
+    residual, vanished) from them, in row-major order.
+    """
 
     max_residual: float
-    entries: tuple[tuple[complex, int, complex, int, float, bool], ...]
+    labels: list[tuple[complex, int]]
+    residual: np.ndarray
+    vanished: np.ndarray
 
     @property
     def vanished_count(self) -> int:
-        return sum(1 for e in self.entries if e[5])
+        return int(self.vanished.sum())
+
+    @property
+    def entries(self) -> tuple[tuple[complex, int, complex, int, float, bool], ...]:
+        labels = self.labels
+        return tuple(
+            (*labels[a], *labels[b], r, v)
+            for a, (r_row, v_row) in enumerate(
+                zip(self.residual.tolist(), self.vanished.tolist())
+            )
+            for b, (r, v) in enumerate(zip(r_row, v_row))
+        )
 
 
 @dataclass(frozen=True)
@@ -433,7 +463,9 @@ def _block_stacks(algebra: BlockAlgebra, rows: np.ndarray) -> list[np.ndarray]:
 
 def _stacked_vectors(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Inverse of :func:`_block_stacks`."""
-    return np.concatenate([s.reshape(len(s), -1) for s in stacks], axis=1)
+    return np.concatenate(
+        [s.reshape(s.shape[0], s.shape[1] * s.shape[2]) for s in stacks], axis=1
+    )
 
 
 def star_closure_check(
@@ -449,9 +481,10 @@ def star_closure_check(
     adjoints = _stacked_vectors(
         [s.conj().transpose(0, 2, 1) for s in _block_stacks(phi.algebra, rows)]
     )
-    residuals = _row_drift(phi, adjoints, values.conj()).tolist()
-    entries = tuple((value, i, r) for (value, i), r in zip(labels, residuals))
-    return StarClosureReport(max_residual=max(residuals, default=0.0), entries=entries)
+    residual = _row_drift(phi, adjoints, values.conj())
+    return StarClosureReport(
+        max_residual=float(residual.max(initial=0.0)), labels=labels, residual=residual
+    )
 
 
 def jordan_closure_check(
@@ -462,7 +495,7 @@ def jordan_closure_check(
     """Check that symmetrized products of eigenvectors are eigenvectors at the
     product eigenvalue; vanishing products close vacuously.
 
-    Entries run over ordered pairs of basis vectors. The product is
+    Residuals run over ordered pairs of basis vectors. The product is
     symmetric, so each pair is computed once, one row of products at a time.
     """
     if spectrum is None:
@@ -483,13 +516,12 @@ def jordan_closure_check(
         vanished[a, rest] = vanished[rest, a] = (
             np.max(np.abs(products), axis=1) <= tol.eq_tol
         )
-    entries = tuple(
-        (*labels[a], *labels[b], r, v)
-        for a, (r_row, v_row) in enumerate(zip(residual.tolist(), vanished.tolist()))
-        for b, (r, v) in enumerate(zip(r_row, v_row))
+    return JordanClosureReport(
+        max_residual=float(residual.max(initial=0.0)),
+        labels=labels,
+        residual=residual,
+        vanished=vanished,
     )
-    worst = float(residual.max()) if count else 0.0
-    return JordanClosureReport(max_residual=worst, entries=entries)
 
 
 def group_closure_report(

@@ -134,6 +134,38 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_hermitian_eig_on_a_stack_equals_one_call_per_matrix(n):
+    rng = rng_for(14, n)
+    # widely different scales, so each matrix is checked against its own
+    stack = np.stack([s * random_hermitian(rng, n) for s in (1e-3, 1.0, 1e6, 0.0)])
+    w, v = hermitian_eig(stack)
+    assert w.shape == (4, n) and v.shape == (4, n, n)
+    values = hermitian_eigenvalues(stack)
+    for k, h in enumerate(stack):
+        w_k, v_k = hermitian_eig(h)
+        assert w[k].tobytes() == w_k.tobytes()
+        assert v[k].tobytes() == v_k.tobytes()
+        assert values[k].tobytes() == hermitian_eigenvalues(h).tobytes()
+    empty_w, empty_v = hermitian_eig(np.zeros((0, n, n)))
+    assert empty_w.shape == (0, n) and empty_v.shape == (0, n, n)
+
+
+def test_hermitian_eig_on_a_stack_checks_every_matrix():
+    rng = rng_for(15)
+    stack = np.stack([1e6 * random_hermitian(rng, 2) for _ in range(3)])
+    # far below the first two matrices' scale, but not below its own
+    stack[2] = [[0.0, 1.0], [0.0, 0.0]]
+    with pytest.raises(NotHermitian, match=r"matrix \(2,\) of the stack deviates"):
+        hermitian_eig(stack)
+    with pytest.raises(NotHermitian, match=r"matrix \(2,\) of the stack deviates"):
+        hermitian_eigenvalues(stack)
+    # a single matrix keeps its message word for word
+    with pytest.raises(NotHermitian) as raised:
+        hermitian_eig(stack[2])
+    assert str(raised.value) == "matrix deviates from Hermitian by 1.000e+00"
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_hermitian_eigenvalues_match_hermitian_eig(n):
     rng = rng_for(9, n)

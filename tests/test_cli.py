@@ -77,6 +77,24 @@ def test_analyze_continuous_preset_includes_family_sections(tmp_path, capsys):
     assert checks and all(c["max_residual"] < 1e-10 for c in checks)
 
 
+def test_analyze_accepts_a_strictly_contracting_map(tmp_path, capsys):
+    # 0.5 id on M2: no eigenvalue is peripheral, so every section that runs
+    # over the peripheral spectrum runs over nothing
+    path = tmp_path / "half.json"
+    half = (0.5 * np.eye(4)).tolist()
+    path.write_text(dump_json({"algebra": {"blocks": [2]}, "map": {"superop": half}}))
+    assert main(["analyze", str(path), "--json", *FAST]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["point_spectrum"] == [] and report["classifications"] == []
+    assert report["group_closure"]["has_identity"] is False
+    assert report["invariant_state"]["error"] == "NoPositiveFixedState"
+    assert report["eigenspace_closure"] == {
+        "jordan_max_residual": 0.0,
+        "jordan_vanished_count": 0,
+        "star_max_residual": 0.0,
+    }
+
+
 def _coordinates_of_manifest_combination(path, value, weights) -> str:
     """--coeffs text for sum_k weights[k] b_k, the b_k being the manifest's
     canonical eigenvectors at ``value``, in the coordinates of whatever

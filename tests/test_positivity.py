@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perispec import (
+    DEFAULT_TOL,
     Block2Matrix,
     BlockAlgebra,
     CommutationViolated,
+    ConvergenceFailure,
     EpsilonSchedule,
     HypothesesViolated,
     MultiBlockUnsupported,
     NotPSDInput,
+    PerispecError,
     PositivityVerdict,
     PositivityWitness,
     Superoperator,
@@ -136,10 +139,14 @@ def test_schur_criteria_agree_with_oracle_seeded(make_indefinite):
 
 
 def _schur_reference(
-    m: Block2Matrix, tol: Tolerances, mirrored: bool
+    m: Block2Matrix,
+    tol: Tolerances,
+    mirrored: bool,
+    schedule: EpsilonSchedule = EpsilonSchedule(),
 ) -> PositivityVerdict:
     """The epsilon criteria as first written: the prelude and each witness
-    spelled out, and the regularized corner decomposed again per epsilon."""
+    spelled out, the regularized corner decomposed again per epsilon, and
+    one defect built and decided at a time, stopping at the first failure."""
     for name, corner in (("a", m.a), ("d", m.d)):
         verdict = oracle_psd(corner, tol)
         if not verdict.is_psd:
@@ -154,7 +161,7 @@ def _schur_reference(
         return PositivityVerdict(
             False, PositivityWitness(reason=f"c differs from b* by {mismatch:.3e}")
         )
-    for eps in EpsilonSchedule().values:
+    for eps in schedule.values:
         w, v = np.linalg.eigh(m.d if mirrored else m.a)
         inv = (v * (1.0 / (w + eps))) @ v.conj().T
         if mirrored:
@@ -213,6 +220,122 @@ def test_schur_criteria_match_the_per_epsilon_reference(mirrored):
     assert len([o for o in outcomes if isinstance(o, float)]) >= 2
 
 
+def _bitwise_verdict(verdict: PositivityVerdict) -> tuple:
+    """Every field of a verdict, arrays and floats as their bytes."""
+    w = verdict.witness
+    if w is None:
+        return (verdict.is_psd,)
+    arrays = tuple(
+        None if x is None else np.asarray(x).tobytes()
+        for x in (w.vector, w.quadratic_form, w.defect)
+    )
+    return (verdict.is_psd, w.reason, w.epsilon, type(w.epsilon), *arrays)
+
+
+def _outcome(decide) -> tuple:
+    """The verdict of ``decide()`` bit for bit, or the error it raised."""
+    try:
+        return _bitwise_verdict(decide())
+    except PerispecError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _failing_at(n: int, beta2: float, rng) -> Block2Matrix:
+    """A PSD corner a with kernel spanned by u e0, and b coupling into it
+    with weight sqrt(beta2) and weakly into the rest of the range of a: the
+    Schur defect d - b*(a + eps)^(-1) b, with d the identity, has least
+    eigenvalue 1 - beta2 / eps, so the first epsilon below beta2 fails."""
+    u = random_unitary(rng, n)
+    a = (u * np.array([0.0] + [2.0] * (n - 1))) @ u.conj().T
+    b = np.zeros((n, n), dtype=complex)
+    b[:, 0] = np.sqrt(beta2) * u[:, 0]
+    b[:, 1:] = u[:, 1:] @ (0.1 * random_complex(rng, n - 1, n - 1))
+    return Block2Matrix(0.5 * (a + a.conj().T), b, b.conj().T, np.eye(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_stacked_schedule_matches_the_per_epsilon_loop(mirrored, n):
+    criterion = criterion_epsilon_prime if mirrored else criterion_epsilon
+    schedule = EpsilonSchedule()
+    rng = rng_for(16, int(mirrored), n)
+    psd = random_psd(rng, 2 * n) + np.eye(2 * n)
+    cases = {"psd": (_split(psd), None)}
+    for position in (0, 3, len(schedule.values) - 1):
+        eps = schedule.values[position]
+        cases[position] = (_failing_at(n, 3.0 * eps, rng), eps)
+    for name, (m, expected_eps) in cases.items():
+        # the mirrored criterion regularizes d: swap the corners for it
+        m = corner_swap(m) if mirrored else m
+        got = criterion(m, schedule)
+        expected = _schur_reference(m, DEFAULT_TOL, mirrored, schedule)
+        assert _bitwise_verdict(got) == _bitwise_verdict(expected), name
+        if expected_eps is None:
+            assert got.is_psd
+        else:
+            assert got.witness.epsilon == expected_eps
+            assert got.witness.reason == f"Schur defect not PSD at epsilon={expected_eps:g}"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_stacked_schedule_reproduces_non_finite_defects(mirrored, n):
+    # the corner's least eigenvalue -1e-10 passes the PSD check, and an
+    # epsilon of 1e-10 cancels it: (a + eps) has a zero eigenvalue and the
+    # defect at that epsilon is not finite
+    criterion = criterion_epsilon_prime if mirrored else criterion_epsilon
+    corner = np.diag([-1e-10] + [1.0] * (n - 1)).astype(complex)
+    rng = rng_for(17, int(mirrored), n)
+    schedules = [(1.0, 1e-10), (1e-10,), (1.0, 1e-3, 1e-10, 1e-12)]
+    non_finite = 0
+    for scale in (0.1, 1.0, 10.0):
+        b = scale * random_complex(rng, n, n)
+        m = Block2Matrix(corner, b, b.conj().T, 3.0 * np.eye(n))
+        m = corner_swap(m) if mirrored else m
+        for values in schedules:
+            schedule = EpsilonSchedule(values)
+            got = _outcome(lambda: criterion(m, schedule))
+            expected = _outcome(
+                lambda: _schur_reference(m, DEFAULT_TOL, mirrored, schedule)
+            )
+            assert got == expected
+            if expected[0] == "raised" or not np.isfinite(
+                np.frombuffer(expected[-1], dtype=complex)
+            ).all():
+                non_finite += 1
+    assert non_finite > 0
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_stacked_schedule_falls_back_when_the_stack_does_not_converge(
+    mirrored, monkeypatch
+):
+    import perispec.positivity as positivity
+
+    real_eig = positivity.hermitian_eig
+    calls = []
+
+    def stack_fails(h, tol):
+        calls.append(h.shape)
+        if h.ndim == 3:
+            raise ConvergenceFailure("Eigenvalues did not converge")
+        return real_eig(h, tol)
+
+    monkeypatch.setattr(positivity, "hermitian_eig", stack_fails)
+    criterion = criterion_epsilon_prime if mirrored else criterion_epsilon
+    schedule = EpsilonSchedule()
+    m = _failing_at(2, 3.0 * schedule.values[2], rng_for(18, int(mirrored)))
+    m = corner_swap(m) if mirrored else m
+    got = criterion(m, schedule)
+    monkeypatch.undo()
+    expected = _schur_reference(m, DEFAULT_TOL, mirrored, schedule)
+    assert _bitwise_verdict(got) == _bitwise_verdict(expected)
+    assert got.witness.epsilon == schedule.values[2]
+    # a, d, the stack, then one defect at a time up to the failing epsilon
+    assert calls == [(2, 2), (2, 2), (7, 2, 2), (2, 2), (2, 2), (2, 2)]
+
+
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_schur_criteria_decompose_each_corner_once(mirrored, monkeypatch):
     import perispec.positivity as positivity
@@ -231,9 +354,9 @@ def test_schur_criteria_decompose_each_corner_once(mirrored, monkeypatch):
     schedule = EpsilonSchedule((1.0, 0.1, 0.01))
     criterion = criterion_epsilon_prime if mirrored else criterion_epsilon
     assert criterion(Block2Matrix(a, b, b.conj().T, d), schedule).is_psd
-    # a, d, then one defect per epsilon: the regularized corner is the one
-    # already decomposed for its PSD check
-    assert len(calls) == 2 + len(schedule.values)
+    # a, d, then the defects of the whole schedule as one stack: the
+    # regularized corner is the one already decomposed for its PSD check
+    assert calls == [(3, 3), (3, 3), (len(schedule.values), 3, 3)]
 
 
 def test_mirrored_schur_criterion_checks_corner_a_first():

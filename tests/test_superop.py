@@ -148,6 +148,20 @@ def test_jordan_closure_counts_vanishing_products(tol):
     report = jordan_closure_check(phi, point_spectrum(phi, tol), tol)
     assert report.max_residual < 1e-12
     assert report.vanished_count > 0
+    count = len(report.labels)
+    assert report.residual.shape == report.vanished.shape == (count, count)
+    assert report.vanished_count == sum(1 for e in report.entries if e[5])
+
+
+def test_closure_checks_over_an_empty_peripheral_spectrum(mat2, tol):
+    shrink = Superoperator(mat2, 0.5 * np.eye(mat2.dim))
+    spectrum = point_spectrum(shrink, tol)
+    assert spectrum.points == ()
+    star = star_closure_check(shrink, spectrum, tol)
+    jordan = jordan_closure_check(shrink, spectrum, tol)
+    assert star.max_residual == 0.0 and star.entries == ()
+    assert jordan.max_residual == 0.0 and jordan.entries == ()
+    assert jordan.vanished_count == 0
 
 
 CUBE_ROOT = np.exp(2j * np.pi / 3)
