@@ -106,10 +106,19 @@ class BlockAlgebra:
             raise ValueError(f"block sizes must be positive, got {blocks}")
         object.__setattr__(self, "blocks", blocks)
 
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Start of each block in the vectorization, then the vectorization's
+        length, so block k occupies offsets[k] : offsets[k + 1]."""
+        offsets = [0]
+        for n in self.blocks:
+            offsets.append(offsets[-1] + n * n)
+        return tuple(offsets)
+
     @property
     def dim(self) -> int:
         """Length of the coefficient vectorization: sum of squared block sizes."""
-        return sum(n * n for n in self.blocks)
+        return self.offsets[-1]
 
     @property
     def total_size(self) -> int:
@@ -143,12 +152,10 @@ class BlockAlgebra:
         diagonal unit E_jj at the index of its entry.
         """
         upper, lower = [], []
-        offset = 0
-        for n in self.blocks:
+        for n, offset in zip(self.blocks, self.offsets):
             j, k = np.triu_indices(n, 1)
             upper.append(offset + j * n + k)
             lower.append(offset + k * n + j)
-            offset += n * n
         pairs = np.stack((np.concatenate(upper), np.concatenate(lower)))
         pairs.setflags(write=False)
         return pairs
@@ -218,12 +225,10 @@ def devectorize(algebra: BlockAlgebra, v: np.ndarray) -> AlgebraElement:
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.size != algebra.dim:
         raise DimensionMismatch(f"vector of length {v.size} does not fit dim {algebra.dim}")
-    parts = []
-    offset = 0
-    for n in algebra.blocks:
-        parts.append(v[offset : offset + n * n].reshape(n, n))
-        offset += n * n
-    return algebra.element(parts)
+    o = algebra.offsets
+    return algebra.element(
+        [v[o[k] : o[k + 1]].reshape(n, n) for k, n in enumerate(algebra.blocks)]
+    )
 
 
 def adjoint(x: AlgebraElement) -> AlgebraElement:
@@ -291,6 +296,15 @@ def _checked_hermitian(h, tol: Tolerances) -> np.ndarray:
     return h
 
 
+def _lapack(routine, *args, **kwargs):
+    """``routine(*args, **kwargs)``, a numpy.linalg call, with LAPACK's
+    failure to converge raised as :class:`ConvergenceFailure`."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceFailure(str(exc)) from exc
+
+
 def hermitian_eig(
     h: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -303,23 +317,14 @@ def hermitian_eig(
     :class:`NotHermitian` when an input matrix deviates from its conjugate
     transpose beyond tolerance.
     """
-    h = _checked_hermitian(h, tol)
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
-    return w, v
+    return _lapack(np.linalg.eigh, _checked_hermitian(h, tol))
 
 
 def hermitian_eigenvalues(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
     stack, without the eigenvectors, which LAPACK computes several times
     faster at large sizes. The input is checked as in :func:`hermitian_eig`."""
-    h = _checked_hermitian(h, tol)
-    try:
-        return np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
+    return _lapack(np.linalg.eigvalsh, _checked_hermitian(h, tol))
 
 
 def _lapack_input(m) -> np.ndarray:
@@ -347,11 +352,14 @@ def general_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     copies come out nearly parallel, so callers must check their rank before
     using them.
     """
-    m = _general_square(m)
-    try:
-        return np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
+    return _lapack(np.linalg.eig, _general_square(m))
+
+
+def _rank(s: np.ndarray, tol: Tolerances, atol: float = 0.0) -> int:
+    """How many of the descending singular values ``s`` count as nonzero:
+    those above both ``rank_tol`` times the largest and the floor ``atol``."""
+    smax = float(s[0]) if s.size else 0.0
+    return int(np.sum(s > max(tol.rank_tol * smax, atol)))
 
 
 def null_space(
@@ -363,15 +371,8 @@ def null_space(
     largest singular value (so the zero matrix has a full kernel) or at most
     the absolute floor ``atol``. A real input has a real basis.
     """
-    m = _lapack_input(m)
-    try:
-        _, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
-    smax = float(s[0]) if s.size else 0.0
-    cutoff = max(tol.rank_tol * smax, atol)
-    rank = int(np.sum(s > cutoff))
-    return [vh[i].conj() for i in range(rank, vh.shape[0])]
+    _, s, vh = _lapack(np.linalg.svd, _lapack_input(m))
+    return [vh[i].conj() for i in range(_rank(s, tol, atol), vh.shape[0])]
 
 
 def column_space(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -380,13 +381,8 @@ def column_space(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     A singular value counts as zero when it is at most ``rank_tol`` times the
     largest singular value, as in :func:`null_space`.
     """
-    m = _lapack_input(m)
-    try:
-        u, s, _ = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(exc)) from exc
-    smax = float(s[0]) if s.size else 0.0
-    return u[:, : int(np.sum(s > tol.rank_tol * smax))]
+    u, s, _ = _lapack(np.linalg.svd, _lapack_input(m), full_matrices=False)
+    return u[:, : _rank(s, tol)]
 
 
 def polar_decomposition(

@@ -179,13 +179,13 @@ def oracle_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PositivityVerdic
 
 
 def _oracle_check(
-    h: np.ndarray, tol: Tolerances, reason: str, eig: tuple | None = None, **fields
+    eig: tuple[np.ndarray, np.ndarray], tol: Tolerances, reason: str, **fields
 ) -> PositivityVerdict | None:
-    """None when :func:`oracle_psd` accepts h; otherwise its verdict with the
-    witness restated under ``reason``, in which ``{oracle}`` stands for the
-    oracle's own reason, and with ``fields`` added. ``eig``, when given, is
-    h's eigendecomposition, already made."""
-    verdict = oracle_psd(h, tol) if eig is None else _eig_verdict(*eig, tol)
+    """None when :func:`oracle_psd` accepts the matrix with eigendecomposition
+    ``eig``; otherwise its verdict with the witness restated under
+    ``reason``, in which ``{oracle}`` stands for the oracle's own reason, and
+    with ``fields`` added."""
+    verdict = _eig_verdict(*eig, tol)
     if verdict.is_psd:
         return None
     assert verdict.witness is not None
@@ -202,21 +202,19 @@ def _offdiag_mismatch(m: Block2Matrix, tol: Tolerances) -> PositivityVerdict | N
 
 
 def _block_prelude(
-    m: Block2Matrix, tol: Tolerances, decomposed: dict | None = None
-) -> PositivityVerdict | None:
+    m: Block2Matrix, tol: Tolerances
+) -> tuple[PositivityVerdict | None, list[tuple[np.ndarray, np.ndarray]]]:
     """The conditions every criterion shares, in order: a PSD, d PSD, and
-    c = b*. Returns the first that fails, or None. A corner named as a key of
-    ``decomposed`` is checked from its eigendecomposition, which is stored
-    there for the caller."""
+    c = b*. Returns the first that fails, or None, and the eigendecompositions
+    of the corners it checked, a first; d is not looked at when a fails."""
+    eigs = []
     for name in ("a", "d"):
-        block, eig = getattr(m, name), None
-        if decomposed is not None and name in decomposed:
-            eig = decomposed[name] = hermitian_eig(block, tol)
+        eigs.append(hermitian_eig(getattr(m, name), tol))
         reason = f"diagonal block {name} not PSD: {{oracle}}"
-        failed = _oracle_check(block, tol, reason, eig)
+        failed = _oracle_check(eigs[-1], tol, reason)
         if failed is not None:
-            return failed
-    return _offdiag_mismatch(m, tol)
+            return failed, eigs
+    return _offdiag_mismatch(m, tol), eigs
 
 
 def _schur_family(
@@ -227,39 +225,41 @@ def _schur_family(
 ) -> PositivityVerdict:
     """Shared body of the two epsilon criteria.
 
-    In the plain orientation the defect is d - b*(a + eps)^(-1) b; mirrored
-    swaps the roles of the corners: a - b (d + eps)^(-1) b*. One
-    eigendecomposition of the regularized corner serves its PSD check and
-    every epsilon. The defects of the whole schedule are built as one stack
-    and decomposed by one call; the first epsilon in schedule order whose
-    defect fails decides.
+    In the plain orientation the defect is d - b*(a+ + eps)^(-1) b; mirrored
+    swaps the roles of the corners: a - b (d+ + eps)^(-1) b*. Here a+ is the
+    corner with its eigenvalues clamped at zero: the corner has passed its
+    PSD check within ``psd_tol``, and a+ + eps is positive definite for every
+    eps > 0. One eigendecomposition of the corner serves its PSD check and
+    every epsilon. The defects of the schedule are built as one stack, which
+    ends before the first defect that is not finite (1 / eps overflows near
+    eps = 1e-308), and decomposed by one call; the first epsilon in schedule
+    order whose defect fails decides. When none fails before the stack ends
+    early, the verdict is undefined and :class:`ConvergenceFailure` is raised.
     """
-    corner = "d" if mirrored else "a"
-    decomposed = {corner: None}
-    failed = _block_prelude(m, tol, decomposed)
+    failed, eigs = _block_prelude(m, tol)
     if failed is not None:
         return failed
-    w, v = decomposed[corner]
+    w, v = eigs[1] if mirrored else eigs[0]
     eps = np.array(schedule.values)
-    inv = (v * (1.0 / (w + eps[:, None]))[:, None, :]) @ v.conj().T
-    if mirrored:
-        defects = m.a - m.b @ inv @ m.b.conj().T
-    else:
-        defects = m.d - m.b.conj().T @ inv @ m.b
-    defects = 0.5 * (defects + np.swapaxes(defects, -1, -2).conj())
-    try:
-        eigs = zip(*hermitian_eig(defects, tol))
-    except ConvergenceFailure:
-        # LAPACK gave up on the stack, which a non-finite defect can cause:
-        # take the epsilons one at a time, so the first to fail still decides
-        eigs = (hermitian_eig(defect, tol) for defect in defects)
-    for value, defect, eig in zip(schedule.values, defects, eigs):
-        reason = f"Schur defect not PSD at epsilon={value:g}"
-        failed = _oracle_check(
-            defect, tol, reason, eig, epsilon=value, defect=defect
-        )
+    with np.errstate(all="ignore"):
+        inv = (v * (1.0 / (np.maximum(w, 0.0) + eps[:, None]))[:, None, :]) @ v.conj().T
+        if mirrored:
+            defects = m.a - m.b @ inv @ m.b.conj().T
+        else:
+            defects = m.d - m.b.conj().T @ inv @ m.b
+        defects = 0.5 * (defects + np.swapaxes(defects, -1, -2).conj())
+    finite = np.isfinite(defects).all(axis=(-2, -1)).tolist()
+    stop = finite.index(False) if False in finite else len(finite)
+    stacked = zip(*hermitian_eig(defects[:stop], tol))
+    for epsilon, defect, eig in zip(schedule.values, defects, stacked):
+        reason = f"Schur defect not PSD at epsilon={epsilon:g}"
+        failed = _oracle_check(eig, tol, reason, epsilon=epsilon, defect=defect)
         if failed is not None:
             return failed
+    if stop < len(finite):
+        raise ConvergenceFailure(
+            f"Schur defect is not finite at epsilon={schedule.values[stop]!r}"
+        )
     return PositivityVerdict(True)
 
 
@@ -291,12 +291,13 @@ def criterion_commuting(
     scale = max(1.0, max_norm(m.a) * max_norm(m.d))
     if defect > tol.eq_tol * scale:
         raise CommutationViolated(f"a and d do not commute, defect {defect:.3e}")
-    failed = _block_prelude(m, tol)
+    failed, _ = _block_prelude(m, tol)
     if failed is not None:
         return failed
     product = m.a @ m.d - m.b.conj().T @ m.b
     product = 0.5 * (product + product.conj().T)
-    failed = _oracle_check(product, tol, "a d - b* b not PSD", defect=product)
+    eig = hermitian_eig(product, tol)
+    failed = _oracle_check(eig, tol, "a d - b* b not PSD", defect=product)
     return PositivityVerdict(True) if failed is None else failed
 
 
@@ -447,7 +448,7 @@ def randomized_positivity_falsifier(
         raise ValueError("samples must be at least 1")
     algebra = phi.algebra
     blocks = algebra.blocks
-    offsets = np.cumsum([0] + [n * n for n in blocks])
+    offsets = algebra.offsets
     pieces = [(j, i) for j in range(len(blocks)) for i in range(len(blocks))]
     used = 0
     worst_defect = 0.0

@@ -453,12 +453,10 @@ def _stacked_eigenvectors(
 
 def _block_stacks(algebra: BlockAlgebra, rows: np.ndarray) -> list[np.ndarray]:
     """Per block, the (count, n, n) stack of that block of each row."""
-    stacks = []
-    offset = 0
-    for n in algebra.blocks:
-        stacks.append(rows[:, offset : offset + n * n].reshape(-1, n, n))
-        offset += n * n
-    return stacks
+    o = algebra.offsets
+    return [
+        rows[:, o[k] : o[k + 1]].reshape(-1, n, n) for k, n in enumerate(algebra.blocks)
+    ]
 
 
 def _stacked_vectors(stacks: Sequence[np.ndarray]) -> np.ndarray:
@@ -470,13 +468,11 @@ def _stacked_vectors(stacks: Sequence[np.ndarray]) -> np.ndarray:
 
 def star_closure_check(
     phi: Superoperator,
-    spectrum: PointSpectrum | None = None,
+    spectrum: PointSpectrum,
     tol: Tolerances = DEFAULT_TOL,
 ) -> StarClosureReport:
     """Check that adjoints of eigenvectors are eigenvectors at the conjugate
     eigenvalue."""
-    if spectrum is None:
-        spectrum = point_spectrum(phi, tol)
     labels, values, rows = _stacked_eigenvectors(spectrum, phi.algebra)
     adjoints = _stacked_vectors(
         [s.conj().transpose(0, 2, 1) for s in _block_stacks(phi.algebra, rows)]
@@ -489,7 +485,7 @@ def star_closure_check(
 
 def jordan_closure_check(
     phi: Superoperator,
-    spectrum: PointSpectrum | None = None,
+    spectrum: PointSpectrum,
     tol: Tolerances = DEFAULT_TOL,
 ) -> JordanClosureReport:
     """Check that symmetrized products of eigenvectors are eigenvectors at the
@@ -498,8 +494,6 @@ def jordan_closure_check(
     Residuals run over ordered pairs of basis vectors. The product is
     symmetric, so each pair is computed once, one row of products at a time.
     """
-    if spectrum is None:
-        spectrum = point_spectrum(phi, tol)
     labels, values, rows = _stacked_eigenvectors(spectrum, phi.algebra)
     stacks = _block_stacks(phi.algebra, rows)
     count = len(labels)

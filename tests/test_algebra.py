@@ -177,6 +177,11 @@ def test_hermitian_eigenvalues_match_hermitian_eig(n):
 MAT_1_2_3 = BlockAlgebra((1, 2, 3))
 
 
+def test_block_offsets_start_each_block_and_end_at_the_dimension():
+    assert MAT_1_2_3.offsets == (0, 1, 5, 14)
+    assert MAT_1_2_3.dim == 14
+
+
 def _hermitian_basis_matrix(algebra: BlockAlgebra) -> np.ndarray:
     """The change of basis T, column by column from the Hermitian units."""
     columns = []

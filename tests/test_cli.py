@@ -257,6 +257,30 @@ def test_positivity_transforms_report_result_blocks(tmp_path, capsys):
         assert set(report["result"]) == {"a", "b", "c", "d"}
 
 
+@pytest.mark.parametrize("method", ["eps", "eps-prime"])
+def test_positivity_on_a_tolerance_negative_corner(tmp_path, capsys, recwarn, method):
+    # the regularized corner has eigenvalue -1e-10, inside psd_tol; the
+    # mirrored criterion regularizes d, so the corners swap for it
+    corner, other = [[-1e-10, 0], [0, 1]], [[3, 0], [0, 3]]
+    a, d = (other, corner) if method == "eps-prime" else (corner, other)
+    b = [[0.1, 0], [0, 0.1]]
+    path = tmp_path / "block.json"
+    path.write_text(dump_json({"block2": {"a": a, "b": b, "c": b, "d": d}}))
+    argv = ["positivity", str(path), "--method", method, "--schedule"]
+    assert main([*argv, "1,1e-10"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["is_psd"] is False
+    assert report["witness"]["epsilon"] == 1e-10
+    assert np.isfinite(report["witness"]["quadratic_form"])
+    # 1 / 1e-320 overflows before any epsilon has failed: no verdict
+    assert main([*argv, "1,1e-320"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ConvergenceFailure" in captured.err and "1e-320" in captured.err
+    assert "RuntimeWarning" not in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -15,7 +15,6 @@ from perispec import (
     HypothesesViolated,
     MultiBlockUnsupported,
     NotPSDInput,
-    PerispecError,
     PositivityVerdict,
     PositivityWitness,
     Superoperator,
@@ -145,8 +144,9 @@ def _schur_reference(
     schedule: EpsilonSchedule = EpsilonSchedule(),
 ) -> PositivityVerdict:
     """The epsilon criteria as first written: the prelude and each witness
-    spelled out, the regularized corner decomposed again per epsilon, and
-    one defect built and decided at a time, stopping at the first failure."""
+    spelled out, the regularized corner decomposed again per epsilon, its
+    spectrum clamped at zero, and one defect built and decided at a time,
+    stopping at the first failure."""
     for name, corner in (("a", m.a), ("d", m.d)):
         verdict = oracle_psd(corner, tol)
         if not verdict.is_psd:
@@ -163,7 +163,7 @@ def _schur_reference(
         )
     for eps in schedule.values:
         w, v = np.linalg.eigh(m.d if mirrored else m.a)
-        inv = (v * (1.0 / (w + eps))) @ v.conj().T
+        inv = (v * (1.0 / (np.maximum(w, 0.0) + eps))) @ v.conj().T
         if mirrored:
             defect = m.a - m.b @ inv @ m.b.conj().T
         else:
@@ -232,14 +232,6 @@ def _bitwise_verdict(verdict: PositivityVerdict) -> tuple:
     return (verdict.is_psd, w.reason, w.epsilon, type(w.epsilon), *arrays)
 
 
-def _outcome(decide) -> tuple:
-    """The verdict of ``decide()`` bit for bit, or the error it raised."""
-    try:
-        return _bitwise_verdict(decide())
-    except PerispecError as exc:
-        return ("raised", type(exc), str(exc))
-
-
 def _failing_at(n: int, beta2: float, rng) -> Block2Matrix:
     """A PSD corner a with kernel spanned by u e0, and b coupling into it
     with weight sqrt(beta2) and weakly into the rest of the range of a: the
@@ -277,63 +269,50 @@ def test_stacked_schedule_matches_the_per_epsilon_loop(mirrored, n):
             assert got.witness.reason == f"Schur defect not PSD at epsilon={expected_eps:g}"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("mirrored", [False, True])
-def test_stacked_schedule_reproduces_non_finite_defects(mirrored, n):
-    # the corner's least eigenvalue -1e-10 passes the PSD check, and an
-    # epsilon of 1e-10 cancels it: (a + eps) has a zero eigenvalue and the
-    # defect at that epsilon is not finite
+def test_clamped_corner_keeps_every_defect_finite(mirrored, n):
+    # the corner's least eigenvalue -1e-10 passes the PSD check; clamped at
+    # zero it is cancelled by no epsilon, so every defect is finite, and an
+    # epsilon of 1e-10 still sees the coupling into the corner's kernel
     criterion = criterion_epsilon_prime if mirrored else criterion_epsilon
     corner = np.diag([-1e-10] + [1.0] * (n - 1)).astype(complex)
     rng = rng_for(17, int(mirrored), n)
     schedules = [(1.0, 1e-10), (1e-10,), (1.0, 1e-3, 1e-10, 1e-12)]
-    non_finite = 0
     for scale in (0.1, 1.0, 10.0):
         b = scale * random_complex(rng, n, n)
         m = Block2Matrix(corner, b, b.conj().T, 3.0 * np.eye(n))
         m = corner_swap(m) if mirrored else m
+        oracle = oracle_psd(assemble(m)).is_psd
         for values in schedules:
             schedule = EpsilonSchedule(values)
-            got = _outcome(lambda: criterion(m, schedule))
-            expected = _outcome(
-                lambda: _schur_reference(m, DEFAULT_TOL, mirrored, schedule)
-            )
-            assert got == expected
-            if expected[0] == "raised" or not np.isfinite(
-                np.frombuffer(expected[-1], dtype=complex)
-            ).all():
-                non_finite += 1
-    assert non_finite > 0
+            got = criterion(m, schedule)
+            expected = _schur_reference(m, DEFAULT_TOL, mirrored, schedule)
+            assert _bitwise_verdict(got) == _bitwise_verdict(expected)
+            assert got.is_psd == oracle
+            if got.witness is not None:
+                w = got.witness
+                for field in (w.vector, w.quadratic_form, w.defect):
+                    assert np.isfinite(field).all()
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
-def test_stacked_schedule_falls_back_when_the_stack_does_not_converge(
-    mirrored, monkeypatch
-):
-    import perispec.positivity as positivity
-
-    real_eig = positivity.hermitian_eig
-    calls = []
-
-    def stack_fails(h, tol):
-        calls.append(h.shape)
-        if h.ndim == 3:
-            raise ConvergenceFailure("Eigenvalues did not converge")
-        return real_eig(h, tol)
-
-    monkeypatch.setattr(positivity, "hermitian_eig", stack_fails)
+def test_an_overflowing_epsilon_raises_unless_an_earlier_one_fails(mirrored):
+    # the regularized corner has eigenvalue -1e-10, inside psd_tol, and the
+    # matrix is not PSD: the oracle's least eigenvalue is about -0.0033
     criterion = criterion_epsilon_prime if mirrored else criterion_epsilon
-    schedule = EpsilonSchedule()
-    m = _failing_at(2, 3.0 * schedule.values[2], rng_for(18, int(mirrored)))
+    corner = np.diag([-1e-10, 1.0]).astype(complex)
+    m = Block2Matrix(corner, 0.1 * np.eye(2), 0.1 * np.eye(2), 3.0 * np.eye(2))
     m = corner_swap(m) if mirrored else m
-    got = criterion(m, schedule)
-    monkeypatch.undo()
-    expected = _schur_reference(m, DEFAULT_TOL, mirrored, schedule)
-    assert _bitwise_verdict(got) == _bitwise_verdict(expected)
-    assert got.witness.epsilon == schedule.values[2]
-    # a, d, the stack, then one defect at a time up to the failing epsilon
-    assert calls == [(2, 2), (2, 2), (7, 2, 2), (2, 2), (2, 2), (2, 2)]
+    assert oracle_psd(assemble(m)).witness.quadratic_form < -3e-3
+    # 1 / 1e-320 overflows: no defect is decided before it, so no verdict
+    with pytest.raises(ConvergenceFailure, match="epsilon=1e-320"):
+        criterion(m, EpsilonSchedule((1.0, 1e-320)))
+    # 1e-310 overflows too, but 1e-3 fails first and decides
+    verdict = criterion(m, EpsilonSchedule((1e-3, 1e-310)))
+    assert not verdict.is_psd
+    assert verdict.witness.epsilon == 1e-3
+    assert verdict.witness.quadratic_form == -7.0
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
