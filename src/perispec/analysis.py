@@ -147,7 +147,7 @@ def _group_entry(spectrum: PointSpectrum) -> dict:
 def _closure_entry(
     phi: Superoperator, spectrum: PointSpectrum, tol: Tolerances
 ) -> dict:
-    star = star_closure_check(phi, spectrum, tol)
+    star = star_closure_check(phi, spectrum)
     jordan = jordan_closure_check(phi, spectrum, tol)
     return {
         "star_max_residual": float(star.max_residual),

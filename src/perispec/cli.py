@@ -361,9 +361,7 @@ def cmd_example(args: argparse.Namespace) -> int:
         lambda0 = cmath.exp(1j * cmath.pi * args.angle / 180.0)
     if args.name != "psi_swap" and lambda0 is None:
         raise MapFileError(f"preset {args.name!r} needs --lambda0 or --angle")
-    document = preset_map_dict(
-        args.name, None if args.name == "psi_swap" else lambda0, args.t
-    )
+    document = preset_map_dict(args.name, lambda0, args.t)
     loaded = load_map_file(document)  # validates lambda0 and t
     if args.explicit:
         document = explicit_map_dict(loaded.phi)

@@ -18,18 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import presets
 from .algebra import AlgebraElement, BlockAlgebra
 from .errors import MapFileError
 from .positivity import Block2Matrix
-from .presets import (
-    PRESET_NAMES,
-    ExampleManifest,
-    build_example1,
-    build_example1_continuous,
-    build_example2,
-    build_example2_continuous,
-    build_psi_swap,
-)
+from .presets import PRESET_NAMES, ExampleManifest, build_psi_swap
 from .superop import ContinuousFamily, Superoperator
 
 __all__ = [
@@ -156,31 +149,30 @@ def _load_preset(stanza: dict, override_t: float | None) -> LoadedMap:
     name = stanza.get("name")
     if name not in PRESET_NAMES:
         raise MapFileError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
-    if name == "psi_swap":
-        return LoadedMap(phi=build_psi_swap()[0])
-    if "lambda0" not in stanza:
-        raise MapFileError(f"preset {name!r} requires a lambda0 entry")
-    lambda0 = _parse_complex(stanza["lambda0"], "map.preset.lambda0")
     t = override_t
     if t is None and "t" in stanza:
         if not isinstance(stanza["t"], (int, float)):
             raise MapFileError("map.preset.t must be a number")
         t = float(stanza["t"])
+    continuous = name in ("ex1c", "ex2c")
+    if t is not None and not continuous:
+        raise MapFileError(f"preset {name!r} reads no t; only ex1c and ex2c take one")
+    if name == "psi_swap":
+        if "lambda0" in stanza:
+            raise MapFileError("preset 'psi_swap' reads no lambda0")
+        return LoadedMap(phi=build_psi_swap()[0])
+    if "lambda0" not in stanza:
+        raise MapFileError(f"preset {name!r} requires a lambda0 entry")
+    lambda0 = _parse_complex(stanza["lambda0"], "map.preset.lambda0")
     if t is not None and not np.isfinite(t):
         raise MapFileError(f"t = {t!r} is not finite")
-    if name == "ex1":
-        phi, _, manifest = build_example1(lambda0)
+    # looked up at call time, so that a builder rebound on the presets module
+    # (as the benchmark's tracer does) is the one called
+    phi, manifest = getattr(presets, f"build_example{name[2]}")(lambda0)
+    if not continuous:
         return LoadedMap(phi=phi, manifest=manifest)
-    if name == "ex2":
-        phi, manifest = build_example2(lambda0)
-        return LoadedMap(phi=phi, manifest=manifest)
+    family = getattr(presets, f"build_example{name[2]}_continuous")(lambda0)
     t = 1.0 if t is None else t
-    if name == "ex1c":
-        family = build_example1_continuous(lambda0)
-        manifest = build_example1(lambda0)[2]
-    else:
-        family = build_example2_continuous(lambda0)
-        manifest = build_example2(lambda0)[1]
     return LoadedMap(phi=family.builder(t), t=t, family=family, manifest=manifest)
 
 

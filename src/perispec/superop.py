@@ -466,11 +466,7 @@ def _stacked_vectors(stacks: Sequence[np.ndarray]) -> np.ndarray:
     )
 
 
-def star_closure_check(
-    phi: Superoperator,
-    spectrum: PointSpectrum,
-    tol: Tolerances = DEFAULT_TOL,
-) -> StarClosureReport:
+def star_closure_check(phi: Superoperator, spectrum: PointSpectrum) -> StarClosureReport:
     """Check that adjoints of eigenvectors are eigenvectors at the conjugate
     eigenvalue."""
     labels, values, rows = _stacked_eigenvectors(spectrum, phi.algebra)

@@ -396,6 +396,53 @@ def test_non_finite_cli_values_exit_two(capsys, argv):
     assert "MapFileError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name,lambda0,extra,options",
+    [
+        ("ex1", GENERIC, None, ["--t", "2.5"]),
+        ("ex2", GENERIC, None, ["--t", "2.5"]),
+        ("psi_swap", None, None, ["--t", "2.5"]),
+        ("ex1", GENERIC, {"t": 2.5}, []),
+        ("ex2", GENERIC, {"t": 2.5}, []),
+        ("psi_swap", None, {"t": 2.5}, []),
+        ("psi_swap", GENERIC, None, []),
+    ],
+    ids=[
+        "ex1-option-t",
+        "ex2-option-t",
+        "psi_swap-option-t",
+        "ex1-stanza-t",
+        "ex2-stanza-t",
+        "psi_swap-stanza-t",
+        "psi_swap-stanza-lambda0",
+    ],
+)
+def test_preset_values_the_preset_never_reads_exit_two(
+    tmp_path, capsys, name, lambda0, extra, options
+):
+    path = _write_map(tmp_path, name=name, lambda0=lambda0, extra=extra)
+    assert main(["analyze", str(path), *options, *FAST]) == 2
+    assert "MapFileError" in capsys.readouterr().err
+    assert main(["choi", str(path), *options]) == 2
+    assert "MapFileError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["example", "ex1", "--angle", "72", "--t", "2.5", "--explicit"],
+        ["example", "ex2", "--lambda0", "0,1", "--t", "2.5"],
+        ["example", "psi_swap", "--t", "1"],
+        ["example", "psi_swap", "--angle", "90"],
+        ["example", "psi_swap", "--lambda0", "0,1"],
+    ],
+    ids=["ex1-t", "ex2-t", "psi_swap-t", "psi_swap-angle", "psi_swap-lambda0"],
+)
+def test_example_options_the_preset_never_reads_exit_two(capsys, argv):
+    assert main(argv) == 2
+    assert "MapFileError" in capsys.readouterr().err
+
+
 def test_non_finite_snapshot_time_exits_two(tmp_path, capsys):
     path = _write_map(tmp_path, name="ex1c")
     assert main(["analyze", str(path), "--t", "inf", *FAST]) == 2

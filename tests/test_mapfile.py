@@ -140,7 +140,7 @@ def test_malformed_matrices_keep_their_messages(obj):
 
 
 def _reports():
-    ex1, _, manifest1 = build_example1(GENERIC)
+    ex1, manifest1 = build_example1(GENERIC)
     ex2, manifest2 = build_example2(GENERIC)
     u = random_unitary(rng_for(42), 6)
     conj = Superoperator(BlockAlgebra((6,)), np.kron(u, u.conj()))

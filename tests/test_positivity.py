@@ -460,7 +460,7 @@ def test_choi_matrix_of_transpose_map_has_negative_eigenvalue():
 
 def test_choi_matrix_frozen_single_block_example():
     lam = np.exp(2j * np.pi / 5)
-    phi, _, _ = build_example1(lam)
+    phi, _ = build_example1(lam)
     choi = choi_matrix(phi)
     expected = np.array(
         [
@@ -490,7 +490,7 @@ def test_choi_matrix_equals_the_matrix_unit_loop(n):
 
 
 def test_complete_positivity_verdicts():
-    phi, _, _ = build_example1(np.exp(2j * np.pi / 5))
+    phi, _ = build_example1(np.exp(2j * np.pi / 5))
     choi, least, completely_positive = complete_positivity(phi)
     assert np.array_equal(choi, choi_matrix(phi))
     assert least == pytest.approx(-0.5, abs=1e-12)
@@ -510,7 +510,7 @@ def test_choi_matrix_rejects_multi_block_algebras():
 
 
 def test_falsifier_passes_positive_map_and_is_deterministic():
-    phi, _, _ = build_example1(np.exp(2j * np.pi / 5))
+    phi, _ = build_example1(np.exp(2j * np.pi / 5))
     first = randomized_positivity_falsifier(phi, samples=2000, seed=7)
     second = randomized_positivity_falsifier(phi, samples=2000, seed=7)
     assert first.passed
@@ -540,7 +540,7 @@ SCALED_LAMBDAS = (np.exp(2j * np.pi / 5), np.exp(2j * np.pi * 3 / 7))
 
 
 def _scaled_example1(lam: complex, delta: float) -> Superoperator:
-    phi, _, _ = build_example1(lam)
+    phi, _ = build_example1(lam)
     matrix = phi.matrix.copy()
     matrix[1, 1] *= 1.0 + delta
     matrix[2, 2] *= 1.0 + delta

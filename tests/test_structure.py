@@ -30,14 +30,14 @@ def _mat2_element(entries):
 
 
 def test_normalize_rescales_partial_isometries(tol):
-    phi, _, _ = build_example1(GENERIC)
+    phi, _ = build_example1(GENERIC)
     x = _mat2_element([[0.0, 3.0], [0.0, 0.0]])
     xhat = normalize_eigenvector(phi, GENERIC, x, tol)
     assert element_norm(xhat - _mat2_element([[0.0, 1.0], [0.0, 0.0]])) < 1e-12
 
 
 def test_normalize_rescales_unitaries(tol):
-    phi, _, _ = build_example1(GENERIC)
+    phi, _ = build_example1(GENERIC)
     x = _mat2_element([[1.0, 0.0], [0.0, 1.0]])
     xhat = normalize_eigenvector(phi, 1.0, x, tol)
     combined = xhat @ adjoint(xhat) + adjoint(xhat) @ xhat
@@ -45,7 +45,7 @@ def test_normalize_rescales_unitaries(tol):
 
 
 def test_normalize_rejects_non_eigenvectors(tol):
-    phi, _, _ = build_example1(GENERIC)
+    phi, _ = build_example1(GENERIC)
     with pytest.raises(NotEigenvector):
         normalize_eigenvector(phi, GENERIC, _mat2_element([[1, 0], [0, 0]]), tol)
     with pytest.raises(NotEigenvector):
@@ -63,8 +63,8 @@ def test_normalize_rejects_non_scalar_combinations(tol):
 def _manifest_cases():
     cases = []
     for name, built in (
-        ("ex1-generic", build_example1(GENERIC)[::2]),
-        ("ex1-merged", build_example1(-1.0 + 0.0j)[::2]),
+        ("ex1-generic", build_example1(GENERIC)),
+        ("ex1-merged", build_example1(-1.0 + 0.0j)),
         ("ex2-generic", build_example2(GENERIC)),
         ("ex2-merged", build_example2(1j)),
     ):
@@ -97,7 +97,7 @@ def test_classification_round_trips_to_the_normalized_vector(
 
 
 def test_case1_shape_on_nilpotent_eigenvector(tol):
-    phi, _, _ = build_example1(GENERIC)
+    phi, _ = build_example1(GENERIC)
     result = classify_eigenvector(phi, GENERIC, _mat2_element([[0, 5], [0, 0]]), tol)
     assert isinstance(result, CaseI)
     e = result.e
@@ -148,7 +148,7 @@ def test_case2_is_invariant_under_global_phase(tol):
 
 
 def test_case3_shape_on_unitary_eigenvector(tol):
-    phi, _, _ = build_example1(GENERIC)
+    phi, _ = build_example1(GENERIC)
     result = classify_eigenvector(phi, 1.0, _mat2_element([[3, 0], [0, 3]]), tol)
     assert isinstance(result, CaseIII)
     u = result.u
