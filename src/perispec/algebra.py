@@ -21,7 +21,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     NotHermitian,
-    SingularModulus,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "general_eig",
     "null_space",
     "column_space",
-    "polar_decomposition",
     "scalar_multiple_of_identity",
 ]
 
@@ -383,29 +381,6 @@ def column_space(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     u, s, _ = _lapack(np.linalg.svd, _lapack_input(m), full_matrices=False)
     return u[:, : _rank(s, tol)]
-
-
-def polar_decomposition(
-    x: np.ndarray, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Polar factors (u, p) with x = u p, u unitary and p positive definite.
-
-    The modulus p is the square root of x* x computed spectrally; the input
-    must have all singular values above ``rank_tol`` or
-    :class:`SingularModulus` is raised.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    z = x.conj().T @ x
-    w, v = hermitian_eig(0.5 * (z + z.conj().T), tol)
-    if w.size == 0 or w[0] <= tol.rank_tol:
-        raise SingularModulus(
-            f"smallest eigenvalue of x*x is {w[0] if w.size else 0.0:.3e}"
-        )
-    sqrt_w = np.sqrt(w)
-    p = (v * sqrt_w) @ v.conj().T
-    p = 0.5 * (p + p.conj().T)
-    u = x @ (v * (1.0 / sqrt_w)) @ v.conj().T
-    return u, p
 
 
 def scalar_multiple_of_identity(

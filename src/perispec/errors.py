@@ -29,10 +29,6 @@ class ConvergenceFailure(PerispecError):
     """An iterative eigenvalue or singular-value routine did not converge."""
 
 
-class SingularModulus(PerispecError):
-    """Polar decomposition was asked for an element with singular modulus."""
-
-
 class CommutationViolated(PerispecError):
     """A criterion that needs commuting blocks received non-commuting ones."""
 

@@ -146,6 +146,11 @@ class LoadedMap:
 def _load_preset(stanza: dict, override_t: float | None) -> LoadedMap:
     if not isinstance(stanza, dict):
         raise MapFileError("map.preset must be an object")
+    unknown = ", ".join(sorted(map(repr, set(stanza) - {"name", "lambda0", "t"})))
+    if unknown:
+        raise MapFileError(
+            f"map.preset reads only name, lambda0 and t; unknown: {unknown}"
+        )
     name = stanza.get("name")
     if name not in PRESET_NAMES:
         raise MapFileError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
@@ -210,7 +215,10 @@ def _read_document(source: str | Path | dict, key: str) -> tuple[dict, dict]:
 
 
 def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMap:
-    """Load and validate a map file (path or already-parsed document)."""
+    """Load and validate a map file (path or already-parsed document).
+
+    ``t`` overrides the snapshot time of a continuous preset; every other map
+    reads no t and rejects it."""
     document, stanza = _read_document(source, "map")
     if ("superop" in stanza) == ("preset" in stanza):
         raise MapFileError("map must contain exactly one of superop or preset")
@@ -224,6 +232,8 @@ def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMa
                     f"{loaded.phi.algebra.blocks}"
                 )
         return loaded
+    if t is not None:
+        raise MapFileError("an explicit superop reads no t; only ex1c and ex2c take one")
     if "algebra" not in document:
         raise MapFileError("an explicit superop needs an algebra entry")
     algebra = _parse_algebra(document["algebra"])

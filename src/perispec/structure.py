@@ -11,8 +11,10 @@ three shapes applies:
 
 The branch is decided by the scalar theta = x^2 (x*)^2: absent (case I),
 strictly inside (0, 1/4) (case II), or equal to 1/4 (case III). In case II
-the coefficients are alpha = sqrt((1 -+ sqrt(1 - 4 theta)) / 2) and e is the
-spectral projection of x* x for the smaller eigenvalue.
+the coefficients are alpha = sqrt((1 -+ sqrt(1 - 4 theta)) / 2), e is the
+spectral projection of x* x for the smaller eigenvalue, and v1, v2 are the
+parts of x |x|^-1 on e and on 1 - e, read off the same eigendecomposition of
+x* x.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .algebra import (
     adjoint,
     element_norm,
     hermitian_eig,
-    polar_decomposition,
     scalar_multiple_of_identity,
 )
 from .errors import (
@@ -37,7 +38,6 @@ from .errors import (
     NotEigenvector,
     NotScalarCombination,
     ProjectionMismatch,
-    SingularModulus,
     SplitNotEigen,
     ThetaOutOfRange,
 )
@@ -143,8 +143,7 @@ def normalize_eigenvector(
     return _normalized(phi, value, x, tol)[0]
 
 
-def _theta_scalar(xhat: AlgebraElement, tol: Tolerances) -> float:
-    square = xhat @ xhat
+def _theta_scalar(square: AlgebraElement, tol: Tolerances) -> float:
     combo = square @ adjoint(square)
     theta = scalar_multiple_of_identity(combo, tol)
     if theta is None:
@@ -161,32 +160,24 @@ def _theta_scalar(xhat: AlgebraElement, tol: Tolerances) -> float:
     return value
 
 
-def _blockwise_polar(
-    x: AlgebraElement, tol: Tolerances
-) -> tuple[AlgebraElement, AlgebraElement]:
-    factors = [polar_decomposition(p, tol) for p in x.parts]
-    unitary = x.algebra.element([u for u, _ in factors])
-    modulus = x.algebra.element([p for _, p in factors])
-    return unitary, modulus
+def _split_parts(
+    xhat: AlgebraElement, low: float, high: float, tol: Tolerances
+) -> tuple[AlgebraElement, AlgebraElement, AlgebraElement]:
+    """The spectral projection e of x* x onto its eigenvalues near ``low``,
+    and v1, v2, the parts of x |x|^-1 on e and on 1 - e, all read off one
+    eigendecomposition of x* x per block.
 
-
-def _split_projection(
-    z: AlgebraElement, low: float, high: float, tol: Tolerances
-) -> AlgebraElement:
-    """Spectral projection of the Hermitian element z onto its eigenvalues
-    near ``low``, verifying that every eigenvalue sits near ``low`` or
-    ``high`` and that both groups are populated."""
+    Verifies that every eigenvalue sits near ``low`` or ``high``, that both
+    groups are populated, and that x* x is invertible."""
     gap = high - low
     window = max(1e-7 * max(1.0, high), 10.0 * tol.eq_tol)
-    parts = []
-    seen_low = 0
-    seen_high = 0
+    z = adjoint(xhat) @ xhat
+    spectra = []
     for block in z.parts:
         w, v = hermitian_eig(block, tol)
-        proj = np.zeros_like(block)
-        for k, eigenvalue in enumerate(w):
-            near_low = abs(eigenvalue - low) <= window
-            near_high = abs(eigenvalue - high) <= window
+        is_low = np.abs(w - low) <= window
+        is_high = np.abs(w - high) <= window
+        for eigenvalue, near_low, near_high in zip(w, is_low, is_high):
             if not (near_low or near_high):
                 raise ProjectionMismatch(
                     f"eigenvalue {eigenvalue:.12f} of x* x is near neither "
@@ -196,18 +187,26 @@ def _split_projection(
                 raise ProjectionMismatch(
                     f"cannot separate eigenvalue {eigenvalue:.12f} across gap {gap:.3e}"
                 )
-            if near_low:
-                seen_low += 1
-                column = v[:, k : k + 1]
-                proj = proj + column @ column.conj().T
-            else:
-                seen_high += 1
-        parts.append(proj)
-    if seen_low == 0 or seen_high == 0:
+        spectra.append((w, v, is_low))
+    seen_low = sum(int(np.count_nonzero(is_low)) for _, _, is_low in spectra)
+    if seen_low in (0, xhat.algebra.total_size):
         raise ProjectionMismatch(
             "the spectrum of x* x does not split into two nonempty groups"
         )
-    return z.algebra.element(parts)
+    for w, _, _ in spectra:
+        if w[0] <= tol.rank_tol:
+            raise ProjectionMismatch(
+                f"x* x is singular on a two-coefficient split: its smallest "
+                f"eigenvalue is {w[0]:.3e}"
+            )
+    e, v1, v2 = [], [], []
+    for x, (w, v, is_low) in zip(xhat.parts, spectra):
+        lower, upper = v[:, is_low], v[:, ~is_low]
+        e.append(lower @ lower.conj().T)
+        v1.append(x @ (lower / np.sqrt(w[is_low])) @ lower.conj().T)
+        v2.append(x @ (upper / np.sqrt(w[~is_low])) @ upper.conj().T)
+    element = xhat.algebra.element
+    return element(e), element(v1), element(v2)
 
 
 def _check_case1(xhat: AlgebraElement, tol: Tolerances) -> CaseI:
@@ -244,7 +243,7 @@ def classify_eigenvector(
     square = xhat @ xhat
     if element_norm(square) <= tol.eq_tol:
         return _check_case1(xhat, tol)
-    theta = _theta_scalar(xhat, tol)
+    theta = _theta_scalar(square, tol)
     if abs(theta - 0.25) <= CASE_III_THETA_TOL:
         u = math.sqrt(2.0) * xhat
         one = xhat.algebra.identity()
@@ -257,24 +256,13 @@ def classify_eigenvector(
     spread = math.sqrt(1.0 - 4.0 * theta)
     low = (1.0 - spread) / 2.0
     high = (1.0 + spread) / 2.0
-    z = adjoint(xhat) @ xhat
-    e = _split_projection(z, low, high, tol)
-    one = xhat.algebra.identity()
-    e_perp = one - e
-    try:
-        u, _ = _blockwise_polar(xhat, tol)
-    except SingularModulus as exc:
-        raise ProjectionMismatch(
-            f"polar decomposition failed on a two-coefficient split: {exc}"
-        ) from exc
-    swap = element_norm(u @ e @ adjoint(u) - e_perp)
+    e, v1, v2 = _split_parts(xhat, low, high, tol)
+    swap = element_norm(v1 @ adjoint(v1) - (xhat.algebra.identity() - e))
     if swap > 1e-7:
         raise ProjectionMismatch(
             f"the polar unitary does not exchange e with its complement "
             f"(defect {swap:.3e})"
         )
-    v1 = u @ e
-    v2 = u @ e_perp
     for name, part in (("v1", v1), ("v2", v2)):
         residual = _eigen_residual(phi, value, part)
         if residual > max(1e-7, tol.eq_tol * max(1.0, element_norm(part))):

@@ -1,4 +1,5 @@
-"""Block algebra primitives: vectorization, eigensolvers, polar parts."""
+"""Block algebra primitives: vectorization, eigensolvers, null and column
+spaces, scalar detection."""
 
 import importlib
 import pkgutil
@@ -12,7 +13,6 @@ import perispec
 from perispec import (
     BlockAlgebra,
     NotHermitian,
-    SingularModulus,
     Tolerances,
     adjoint,
     devectorize,
@@ -20,7 +20,6 @@ from perispec import (
     hermitian_eig,
     max_norm,
     null_space,
-    polar_decomposition,
     scalar_multiple_of_identity,
     vectorize,
 )
@@ -336,30 +335,6 @@ def test_every_name_in_each_all_resolves():
         module = importlib.import_module(f"perispec.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (info.name, missing)
-
-
-def test_polar_decomposition_frozen_antidiagonal():
-    x = np.array([[0.0, 0.6], [0.8, 0.0]])
-    u, p = polar_decomposition(x)
-    assert np.allclose(p, [[0.8, 0.0], [0.0, 0.6]], atol=1e-12)
-    assert np.allclose(u, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_polar_decomposition_seeded_properties(n):
-    rng = rng_for(7, n)
-    for _ in range(25):
-        x = random_complex(rng, n, n) + 3.0 * np.eye(n)
-        u, p = polar_decomposition(x)
-        assert max_norm(u @ p - x) < 1e-10 * max(1.0, max_norm(x))
-        assert max_norm(u @ u.conj().T - np.eye(n)) < 1e-10
-        assert max_norm(p - p.conj().T) < 1e-10
-        assert np.min(np.linalg.eigvalsh(p)) > -1e-10
-
-
-def test_polar_decomposition_rejects_singular_input():
-    with pytest.raises(SingularModulus):
-        polar_decomposition(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 def test_scalar_multiple_detection(two_blocks):

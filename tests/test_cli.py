@@ -443,6 +443,29 @@ def test_example_options_the_preset_never_reads_exit_two(capsys, argv):
     assert "MapFileError" in capsys.readouterr().err
 
 
+def test_snapshot_time_on_an_explicit_map_exits_two(tmp_path, capsys):
+    path = tmp_path / "explicit.json"
+    argv = ["example", "ex1", "--angle", "72", "--explicit", "--out", str(path)]
+    assert main(argv) == 0
+    assert main(["analyze", str(path), "--t", "2.5", *FAST]) == 2
+    assert "MapFileError" in capsys.readouterr().err
+    assert main(["classify", str(path), "--lam", "1,0", "--t", "2.5"]) == 2
+    assert "MapFileError" in capsys.readouterr().err
+    assert main(["choi", str(path), "--t", "3"]) == 2
+    assert "MapFileError" in capsys.readouterr().err
+    assert main(["choi", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_unknown_preset_keys_exit_two_and_are_named(tmp_path, capsys):
+    path = _write_map(tmp_path, name="ex1c", lambda0=[0, 1], extra={"time": 2.5})
+    assert main(["analyze", str(path), *FAST]) == 2
+    err = capsys.readouterr().err
+    assert "MapFileError" in err and "'time'" in err
+    assert main(["choi", str(path)]) == 2
+    assert "'time'" in capsys.readouterr().err
+
+
 def test_non_finite_snapshot_time_exits_two(tmp_path, capsys):
     path = _write_map(tmp_path, name="ex1c")
     assert main(["analyze", str(path), "--t", "inf", *FAST]) == 2

@@ -11,6 +11,9 @@ from perispec import (
     InvariantViolated,
     NotEigenvector,
     NotScalarCombination,
+    PerispecError,
+    ProjectionMismatch,
+    SplitNotEigen,
     Superoperator,
     adjoint,
     build_example1,
@@ -18,9 +21,13 @@ from perispec import (
     case_tag,
     classify_eigenvector,
     element_norm,
+    hermitian_eig,
     normalize_eigenvector,
     reconstruct,
 )
+from perispec import structure
+
+from conftest import random_complex, rng_for
 
 GENERIC = np.exp(2j * np.pi / 5)
 
@@ -199,3 +206,153 @@ def test_case_tags_cover_all_three_shapes(tol):
     combo = classify_eigenvector(phi, 1j, 0.3 * v1 + np.sqrt(0.91) * v2, tol)
     assert case_tag(combo) == "II"
 
+
+# A reference for the case-II split that decomposes x* x twice: once for the
+# projection e, and once more for the polar unitary u of each block, with
+# v1 = u e and v2 = u (1 - e). classify_eigenvector must give every input the
+# same case or error class, and e, v1, v2 within 1e-14. This pins agreement
+# with the two-decomposition construction, not that its outcomes are right.
+
+
+def _reference_split_projection(z, low, high, tol):
+    gap = high - low
+    window = max(1e-7 * max(1.0, high), 10.0 * tol.eq_tol)
+    parts = []
+    seen_low = 0
+    seen_high = 0
+    for block in z.parts:
+        w, v = hermitian_eig(block, tol)
+        proj = np.zeros_like(block)
+        for k, eigenvalue in enumerate(w):
+            near_low = abs(eigenvalue - low) <= window
+            near_high = abs(eigenvalue - high) <= window
+            if not (near_low or near_high):
+                raise ProjectionMismatch(f"eigenvalue {eigenvalue} is near neither")
+            if near_low and near_high:
+                raise ProjectionMismatch(f"cannot separate across gap {gap}")
+            if near_low:
+                seen_low += 1
+                column = v[:, k : k + 1]
+                proj = proj + column @ column.conj().T
+            else:
+                seen_high += 1
+        parts.append(proj)
+    if seen_low == 0 or seen_high == 0:
+        raise ProjectionMismatch("the spectrum does not split")
+    return z.algebra.element(parts)
+
+
+def _reference_polar_unitary(x, tol):
+    x = np.asarray(x, dtype=np.complex128)
+    z = x.conj().T @ x
+    w, v = hermitian_eig(0.5 * (z + z.conj().T), tol)
+    if w[0] <= tol.rank_tol:
+        raise ProjectionMismatch(f"smallest eigenvalue of x*x is {w[0]:.3e}")
+    return x @ (v * (1.0 / np.sqrt(w))) @ v.conj().T
+
+
+def _reference_classify(phi, value, x, tol):
+    xhat, _ = structure._normalized(phi, value, x, tol)
+    square = xhat @ xhat
+    if element_norm(square) <= tol.eq_tol:
+        return structure._check_case1(xhat, tol)
+    theta = structure._theta_scalar(square, tol)
+    if abs(theta - 0.25) <= structure.CASE_III_THETA_TOL:
+        # the case-III branch never reaches the split
+        return classify_eigenvector(phi, value, x, tol)
+    spread = np.sqrt(1.0 - 4.0 * theta)
+    low = (1.0 - spread) / 2.0
+    high = (1.0 + spread) / 2.0
+    e = _reference_split_projection(adjoint(xhat) @ xhat, low, high, tol)
+    e_perp = xhat.algebra.identity() - e
+    u = xhat.algebra.element([_reference_polar_unitary(p, tol) for p in xhat.parts])
+    if element_norm(u @ e @ adjoint(u) - e_perp) > 1e-7:
+        raise ProjectionMismatch("the polar unitary does not exchange e")
+    v1 = u @ e
+    v2 = u @ e_perp
+    for part in (v1, v2):
+        residual = element_norm(phi(part) - value * part)
+        if residual > max(1e-7, tol.eq_tol * max(1.0, element_norm(part))):
+            raise SplitNotEigen(f"residual {residual}")
+    return CaseII(
+        alpha1=float(np.sqrt(low)),
+        alpha2=float(np.sqrt(high)),
+        v1=v1,
+        v2=v2,
+        e=e,
+        theta=theta,
+    )
+
+
+def _outcome(classify, phi, value, x, tol):
+    try:
+        return classify(phi, value, x, tol)
+    except PerispecError as exc:
+        return type(exc)
+
+
+def _assert_matches_reference(phi, value, x, tol):
+    """Asserts that classify_eigenvector and the reference agree on x, and
+    returns the outcome: a classification or an error class."""
+    got = _outcome(classify_eigenvector, phi, value, x, tol)
+    want = _outcome(_reference_classify, phi, value, x, tol)
+    if isinstance(want, type):
+        assert got is want
+        return got
+    assert case_tag(got) == case_tag(want)
+    if isinstance(want, CaseII):
+        assert got.alpha1 == want.alpha1 and got.alpha2 == want.alpha2
+        assert got.theta == want.theta
+        for name in ("e", "v1", "v2"):
+            assert element_norm(getattr(got, name) - getattr(want, name)) <= 1e-14
+    return got
+
+
+_SIGNS = {1j: "i", -1j: "-i"}
+EX2_TWO_DIMENSIONAL = [
+    pytest.param(lambda0, value, id=f"lambda0={_SIGNS[lambda0]}-value={_SIGNS[value]}")
+    for lambda0 in _SIGNS
+    for value in _SIGNS
+]
+
+
+def _eigenspace_basis(lambda0, value):
+    phi, manifest = build_example2(lambda0)
+    index = next(
+        k for k, v in enumerate(manifest.expected_spectrum) if abs(v - value) < 1e-9
+    )
+    b0, b1 = manifest.canonical_eigenvectors[index]
+    return phi, b0, b1
+
+
+@pytest.mark.parametrize("lambda0,value", EX2_TWO_DIMENSIONAL)
+def test_case2_split_matches_reference_on_seeded_combinations(lambda0, value, tol):
+    phi, b0, b1 = _eigenspace_basis(lambda0, value)
+    rng = rng_for(21, int(lambda0.imag > 0), int(value.imag > 0))
+    tags = set()
+    for _ in range(40):
+        c = random_complex(rng, 2)
+        outcome = _assert_matches_reference(phi, value, c[0] * b0 + c[1] * b1, tol)
+        tags.add(outcome if isinstance(outcome, type) else case_tag(outcome))
+    assert "II" in tags
+
+
+EPSILON_LADDER = [1e-6, 1e-5, 5e-5, 1e-4, 1e-3, 2e-3, 5e-3, 1e-2]
+
+
+@pytest.mark.parametrize("lambda0,value", EX2_TWO_DIMENSIONAL)
+def test_case2_split_matches_reference_on_epsilon_ladders(lambda0, value, tol):
+    phi, b0, b1 = _eigenspace_basis(lambda0, value)
+    outcomes = []
+    for eps in EPSILON_LADDER:
+        for x in (b0 + eps * b1, b0 + (1.0 - eps) * b1):
+            outcomes.append(_assert_matches_reference(phi, value, x, tol))
+    # near b0 the modulus of x is singular: the split raises on that check
+    assert ProjectionMismatch in outcomes
+    assert any(isinstance(o, CaseII) for o in outcomes)
+
+
+def test_case2_singular_modulus_names_the_least_eigenvalue(tol):
+    phi, b0, b1 = _eigenspace_basis(1j, -1j)
+    with pytest.raises(ProjectionMismatch, match="smallest eigenvalue is 1.000e-08"):
+        classify_eigenvector(phi, -1j, b0 + 1e-4 * b1, tol)
