@@ -3,8 +3,11 @@
 A map file holds an algebra and either an explicit superoperator matrix or a
 preset stanza naming a built-in family. Complex numbers are encoded as
 [real, imaginary] pairs; matrices as row-major nested lists of those pairs.
-Well-formed numeric matrices are converted by numpy in one pass; anything
-else goes through a per-entry parser that names the offending entry.
+Every object passes one key check that names each missing and unknown key,
+and JSON true and false are not numbers. Well-formed numeric matrices are
+converted by numpy in one pass, which leaves one case open: a boolean among
+numbers is coerced. Anything else goes through a per-entry parser that names
+the offending entry.
 All serialization is deterministic: keys are sorted, every number is a
 plain Python float, and the C JSON encoder renders every value that is not
 an object, or a list holding one, on a single line.
@@ -78,14 +81,28 @@ def dump_json(document: dict) -> str:
     return _render(document, "") + "\n"
 
 
+def _is_number(value, kinds: type | tuple = (int, float)) -> bool:
+    """``value`` is one of ``kinds`` and no bool, which Python counts as an int."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _fields(obj, where: str, required: tuple = (), optional: tuple = ()) -> dict:
+    """``obj`` itself, once it is an object holding every ``required`` key and
+    no key outside ``required`` and ``optional``."""
+    if not isinstance(obj, dict):
+        raise MapFileError(f"{where} must be an object, got {type(obj).__name__}")
+    missing = [key for key in required if key not in obj]
+    unknown = sorted(set(obj) - {*required, *optional}, key=str)
+    if missing or unknown:
+        raise MapFileError(f"{where}: missing {missing}, unknown {unknown}; it takes "
+                           f"{', '.join((*required, *optional))}")
+    return obj
+
+
 def _parse_complex(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         obj = (obj, 0.0)
-    if (
-        isinstance(obj, (list, tuple))
-        and len(obj) == 2
-        and all(isinstance(v, (int, float)) for v in obj)
-    ):
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_number, obj)):
         value = complex(float(obj[0]), float(obj[1]))
         if np.isfinite(value):
             return value
@@ -143,22 +160,13 @@ class LoadedMap:
     manifest: ExampleManifest | None = None
 
 
-def _load_preset(stanza: dict, override_t: float | None) -> LoadedMap:
-    if not isinstance(stanza, dict):
-        raise MapFileError("map.preset must be an object")
-    unknown = ", ".join(sorted(map(repr, set(stanza) - {"name", "lambda0", "t"})))
-    if unknown:
-        raise MapFileError(
-            f"map.preset reads only name, lambda0 and t; unknown: {unknown}"
-        )
-    name = stanza.get("name")
+def _load_preset(stanza, override_t: float | None) -> LoadedMap:
+    name = _fields(stanza, "map.preset", ("name",), ("lambda0", "t"))["name"]
     if name not in PRESET_NAMES:
         raise MapFileError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
-    t = override_t
-    if t is None and "t" in stanza:
-        if not isinstance(stanza["t"], (int, float)):
-            raise MapFileError("map.preset.t must be a number")
-        t = float(stanza["t"])
+    if "t" in stanza and not _is_number(stanza["t"]):
+        raise MapFileError(f"map.preset.t must be a number, got {stanza['t']!r}")
+    t = float(stanza["t"]) if override_t is None and "t" in stanza else override_t
     continuous = name in ("ex1c", "ex2c")
     if t is not None and not continuous:
         raise MapFileError(f"preset {name!r} reads no t; only ex1c and ex2c take one")
@@ -182,36 +190,25 @@ def _load_preset(stanza: dict, override_t: float | None) -> LoadedMap:
 
 
 def _parse_algebra(obj) -> BlockAlgebra:
-    if not isinstance(obj, dict) or "blocks" not in obj:
-        raise MapFileError("algebra must be an object with a blocks list")
-    blocks = obj["blocks"]
-    if (
-        not isinstance(blocks, list)
-        or not blocks
-        or not all(isinstance(n, int) and n >= 1 for n in blocks)
-    ):
-        raise MapFileError("algebra.blocks must be a nonempty list of positive ints")
-    return BlockAlgebra(tuple(blocks))
+    blocks = _fields(obj, "algebra", ("blocks",))["blocks"]
+    if isinstance(blocks, list) and blocks and all(_is_number(n, int) and n > 0 for n in blocks):
+        return BlockAlgebra(tuple(blocks))
+    raise MapFileError(
+        f"algebra.blocks must be a nonempty list of positive ints, got {blocks!r}"
+    )
 
 
-def _read_document(source: str | Path | dict, key: str) -> tuple[dict, dict]:
-    """The document (path or already-parsed) and its top-level ``key`` object."""
+def _read_document(source: str | Path | dict):
+    """The document, from a path or already parsed."""
     if isinstance(source, dict):
-        document = source
-    else:
-        path = Path(source)
-        if not path.exists():
-            raise MapFileError(f"no such file: {path}")
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise MapFileError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(document, dict) or key not in document:
-        raise MapFileError(f"a {key} file must be an object with a {key} entry")
-    stanza = document[key]
-    if not isinstance(stanza, dict):
-        raise MapFileError(f"{key} must be an object")
-    return document, stanza
+        return source
+    path = Path(source)
+    if not path.exists():
+        raise MapFileError(f"no such file: {path}")
+    try:
+        return json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise MapFileError(f"cannot parse {path}: {exc}") from exc
 
 
 def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMap:
@@ -219,7 +216,8 @@ def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMa
 
     ``t`` overrides the snapshot time of a continuous preset; every other map
     reads no t and rejects it."""
-    document, stanza = _read_document(source, "map")
+    document = _fields(_read_document(source), "map file", ("map",), ("algebra",))
+    stanza = _fields(document["map"], "map", optional=("superop", "preset"))
     if ("superop" in stanza) == ("preset" in stanza):
         raise MapFileError("map must contain exactly one of superop or preset")
     if "preset" in stanza:
@@ -267,15 +265,15 @@ def load_block2_file(
     source: str | Path | dict,
 ) -> tuple[Block2Matrix, np.ndarray | None, np.ndarray | None]:
     """Load a block 2x2 matrix file, returning optional congruence factors."""
-    _, stanza = _read_document(source, "block2")
-    missing = [k for k in ("a", "b", "c", "d") if k not in stanza]
-    if missing:
-        raise MapFileError(f"block2 is missing entries {missing}")
+    document = _fields(_read_document(source), "block2 file", ("block2",))
+    stanza = _fields(document["block2"], "block2", ("a", "b", "c", "d"), ("x", "y"))
     blocks = {k: _parse_matrix(stanza[k], f"block2.{k}") for k in ("a", "b", "c", "d")}
     try:
         m = Block2Matrix(**blocks)
     except Exception as exc:
         raise MapFileError(str(exc)) from exc
-    x = _parse_matrix(stanza["x"], "block2.x") if "x" in stanza else None
-    y = _parse_matrix(stanza["y"], "block2.y") if "y" in stanza else None
-    return m, x, y
+    factors = {k: _parse_matrix(stanza[k], f"block2.{k}") for k in ("x", "y") if k in stanza}
+    misfits = [f"{k} has side {len(f)}" for k, f in factors.items() if len(f) != m.side]
+    if misfits:
+        raise MapFileError(f"block2 blocks have side {m.side}, but {' and '.join(misfits)}")
+    return m, factors.get("x"), factors.get("y")

@@ -305,6 +305,16 @@ def test_malformed_block2_files_exit_two(tmp_path, capsys, content):
     assert "MapFileError" in capsys.readouterr().err
 
 
+def test_misfit_congruence_factors_exit_two(tmp_path, capsys):
+    eye2, eye3 = np.eye(2).tolist(), np.eye(3).tolist()
+    path = tmp_path / "block.json"
+    block2 = {"a": eye2, "b": eye2, "c": eye2, "d": eye2, "x": eye3, "y": eye2}
+    path.write_text(json.dumps({"block2": block2}))
+    assert main(["positivity", str(path), "--transform", "congruence"]) == 2
+    err = capsys.readouterr().err
+    assert "MapFileError" in err and "x has side 3" in err
+
+
 def test_suite_json_reports_every_criterion(capsys):
     assert main(["suite", "--json", "--samples", "2000"]) == 0
     document = json.loads(capsys.readouterr().out)
@@ -354,6 +364,10 @@ def test_example_explicit_emits_a_superop_document(capsys):
         '{"map": {"preset": {"name": "nope", "lambda0": [0, 1]}}}',
         '{"map": {"superop": [[1, 0], [0, 1], [0, 0]]}}',
         '{"algebra": {"blocks": [2]}, "map": {"superop": [[0, 1], [1, 0]]}}',
+        '{"map": {"preset": {"name": "ex1", "lambda0": [0, 1]}}, "note": 1}',
+        '{"algebra": {"blocks": [2], "blockz": [2]},'
+        ' "map": {"preset": {"name": "ex1", "lambda0": [0, 1]}}}',
+        '{"map": {"preset": {"name": "ex2", "lambda0": [false, true]}}}',
     ],
 )
 def test_malformed_map_files_exit_two(tmp_path, capsys, content):
@@ -464,6 +478,13 @@ def test_unknown_preset_keys_exit_two_and_are_named(tmp_path, capsys):
     assert "MapFileError" in err and "'time'" in err
     assert main(["choi", str(path)]) == 2
     assert "'time'" in capsys.readouterr().err
+
+
+def test_a_stanza_t_that_is_no_number_exits_two_under_an_override_too(tmp_path, capsys):
+    path = _write_map(tmp_path, name="ex1c", extra={"t": "soon"})
+    for options in ([], ["--t", "2"]):
+        assert main(["analyze", str(path), *options, *FAST]) == 2
+        assert "'soon'" in capsys.readouterr().err
 
 
 def test_non_finite_snapshot_time_exits_two(tmp_path, capsys):

@@ -109,7 +109,11 @@ def test_inputs_numpy_declines_still_parse_like_the_reference():
     wide = [[2**63, 0], [0, -(2**70)]]  # beyond int64: uint64 and object arrays
     for obj in (bools, mixed, wide):
         assert _numeric_matrix(obj) is None
+    for obj in (mixed, wide):
         assert _bits_equal(_parse_matrix(obj, "m"), _reference_matrix(obj, "m"))
+    # the reference read JSON true and false as 1 and 0; they are not numbers
+    with pytest.raises(MapFileError, match=r"m\[0\]: expected a number .* got True"):
+        _parse_matrix(bools, "m")
 
 
 _BAD_MATRICES = {
@@ -137,6 +141,57 @@ def test_malformed_matrices_keep_their_messages(obj):
     with pytest.raises(MapFileError) as info:
         load_block2_file(document)
     assert str(info.value) == _reference_message(obj, "block2.a")
+
+
+EX1 = {"name": "ex1", "lambda0": [0.0, 1.0]}
+EYE = [[1, 0], [0, 1]]
+BLOCK2 = {"a": EYE, "b": EYE, "c": EYE, "d": EYE}
+
+# Each object of both file kinds, with one key too many or one too few, or of
+# another type than an object.
+_MISFIT_OBJECTS = {
+    "document-unknown": ({"map": {"preset": EX1}, "comment": 1}, "'comment'"),
+    "document-missing-map": ({"algebra": {"blocks": [2]}}, "'map'"),
+    "map-unknown": ({"map": {"preset": EX1, "t": 2.5}}, "'t'"),
+    "algebra-unknown": ({"algebra": {"blocks": [2], "blockz": [2]}, "map": {"preset": EX1}},
+                        "'blockz'"),
+    "algebra-missing-blocks": ({"algebra": {}, "map": {"preset": EX1}}, "'blocks'"),
+    "preset-missing-name": ({"map": {"preset": {"lambda0": [0, 1]}}}, "'name'"),
+    "block2-document-unknown": ({"block2": BLOCK2, "x": EYE}, "'x'"),
+    "block2-unknown": ({"block2": BLOCK2 | {"z": EYE}}, "'z'"),
+    "map-list": ({"map": []}, "map must be an object, got list"),
+    "preset-string": ({"map": {"preset": "ex1"}}, "map.preset must be an object, got str"),
+    "algebra-list": ({"algebra": [2], "map": {"preset": EX1}},
+                     "algebra must be an object, got list"),
+}
+
+
+@pytest.mark.parametrize("document,message", _MISFIT_OBJECTS.values(),
+                         ids=_MISFIT_OBJECTS.keys())
+def test_every_object_is_checked_for_its_type_and_keys(document, message):
+    load = load_block2_file if "block2" in document else load_map_file
+    with pytest.raises(MapFileError, match=message):
+        load(document)
+
+
+# JSON true and false at each site that reads a number outside a numpy matrix.
+_BOOLEANS = {
+    "lambda0": ({"map": {"preset": {"name": "ex2", "lambda0": [False, True]}}},
+                r"lambda0: .* got \[False, True\]"),
+    "blocks": ({"algebra": {"blocks": [True, 2]}, "map": {"preset": EX1}},
+               r"got \[True, 2\]"),
+    "t": ({"map": {"preset": {"name": "ex1c", "lambda0": [0, 1], "t": True}}},
+          r"map.preset.t must be a number, got True"),
+    "block2-entry": ({"block2": BLOCK2 | {"a": [[True]], "b": [[0]], "c": [[0]], "d": [[1]]}},
+                     r"block2.a\[0\]: .* got True"),
+}
+
+
+@pytest.mark.parametrize("document,message", _BOOLEANS.values(), ids=_BOOLEANS.keys())
+def test_booleans_are_not_numbers(document, message):
+    load = load_block2_file if "block2" in document else load_map_file
+    with pytest.raises(MapFileError, match=message):
+        load(document)
 
 
 def _reports():
