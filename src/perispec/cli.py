@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import re
 import sys
@@ -429,9 +430,17 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call in this process shares, built on
+    first use. Sharing is safe because ``parse_args`` reads the parser and
+    writes only the namespace it returns; that holds while no option has a
+    mutable default or an ``append`` action and nothing mutates the parser."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
+    args = _parser().parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv)
     )
     try:

@@ -99,11 +99,19 @@ def _fields(obj, where: str, required: tuple = (), optional: tuple = ()) -> dict
     return obj
 
 
+def _float(number: int | float, where: str) -> float:
+    """``float(number)``, rejecting a JSON integer beyond the float range."""
+    try:
+        return float(number)
+    except OverflowError:
+        raise MapFileError(f"{where}: an integer beyond the float range") from None
+
+
 def _parse_complex(obj, where: str) -> complex:
     if _is_number(obj):
         obj = (obj, 0.0)
     if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_number, obj)):
-        value = complex(float(obj[0]), float(obj[1]))
+        value = complex(_float(obj[0], where), _float(obj[1], where))
         if np.isfinite(value):
             return value
         raise MapFileError(f"{where}: numbers must be finite")
@@ -166,7 +174,7 @@ def _load_preset(stanza, override_t: float | None) -> LoadedMap:
         raise MapFileError(f"unknown preset {name!r}; choose one of {PRESET_NAMES}")
     if "t" in stanza and not _is_number(stanza["t"]):
         raise MapFileError(f"map.preset.t must be a number, got {stanza['t']!r}")
-    t = float(stanza["t"]) if override_t is None and "t" in stanza else override_t
+    t = _float(stanza["t"], "map.preset.t") if override_t is None and "t" in stanza else override_t
     continuous = name in ("ex1c", "ex2c")
     if t is not None and not continuous:
         raise MapFileError(f"preset {name!r} reads no t; only ex1c and ex2c take one")
@@ -205,9 +213,11 @@ def _read_document(source: str | Path | dict):
     path = Path(source)
     if not path.exists():
         raise MapFileError(f"no such file: {path}")
+    # ValueError covers invalid JSON, text that is not UTF-8 and an integer
+    # literal past Python's digit limit
     try:
         return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MapFileError(f"cannot parse {path}: {exc}") from exc
 
 

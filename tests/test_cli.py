@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from perispec import dump_json, load_map_file, max_norm, point_spectrum, vectorize
+from perispec import cli, dump_json, load_map_file, max_norm, point_spectrum, vectorize
 from perispec.cli import main
 
 GENERIC = [float(np.cos(2 * np.pi / 5)), float(np.sin(2 * np.pi / 5))]
+# an integer literal beyond the float range (about 1.8e308)
+HUGE = "1" + "0" * 400
 
 
 def _write_map(tmp_path, name="ex1", lambda0=GENERIC, extra=None):
@@ -291,10 +293,11 @@ def test_positivity_on_a_tolerance_negative_corner(tmp_path, capsys, recwarn, me
         '{"block2": [1, 2]}',
         '{"block2": {"a": [[1]], "b": [[0]], "c": [[0]]}}',
         '{"block2": {"a": [[NaN]], "b": [[0]], "c": [[0]], "d": [[1]]}}',
+        f'{{"block2": {{"a": [[{HUGE}]], "b": [[0]], "c": [[0]], "d": [[1]]}}}}',
     ],
     ids=[
         "missing", "invalid-json", "top-level-list", "no-block2", "not-object", "no-d",
-        "nan-entry",
+        "nan-entry", "huge-int-entry",
     ],
 )
 def test_malformed_block2_files_exit_two(tmp_path, capsys, content):
@@ -390,8 +393,14 @@ def test_missing_file_exits_two(tmp_path, capsys):
         '{"algebra": {"blocks": [1, 1]}, "map": {"superop": [[1, [NaN, 0]], [[0, 0], 1]]}}',
         '{"map": {"preset": {"name": "ex1", "lambda0": [NaN, 0]}}}',
         '{"map": {"preset": {"name": "ex1c", "lambda0": [0, 1], "t": Infinity}}}',
+        f'{{"map": {{"preset": {{"name": "ex1", "lambda0": [{HUGE}, 0]}}}}}}',
+        f'{{"map": {{"preset": {{"name": "ex1c", "lambda0": [0, 1], "t": {HUGE}}}}}}}',
+        f'{{"algebra": {{"blocks": [1]}}, "map": {{"superop": [[{HUGE}]]}}}}',
     ],
-    ids=["nan-superop", "overflow-superop", "nan-in-mixed-row", "nan-lambda0", "infinite-t"],
+    ids=[
+        "nan-superop", "overflow-superop", "nan-in-mixed-row", "nan-lambda0", "infinite-t",
+        "huge-int-lambda0", "huge-int-t", "huge-int-superop",
+    ],
 )
 def test_non_finite_map_files_exit_two(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
@@ -559,3 +568,61 @@ def test_suite_rejects_a_zero_sample_count_as_input(capsys):
     captured = capsys.readouterr()
     assert "MapFileError" in captured.err
     assert captured.out == ""
+
+
+# One parser per process: main builds it on the first call and shares it.
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys, fresh_parser):
+    builds = []
+    original = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert main(["example", "psi_swap", "--json"]) == 0
+    assert main(["example", "ex1", "--angle", "72", "--json"]) == 0
+    assert len(builds) == 1
+    assert original() is not original()  # the public builder stays fresh
+    capsys.readouterr()
+
+
+def test_an_option_does_not_leak_into_the_next_call(tmp_path, fresh_parser):
+    path = _write_map(tmp_path)
+    first, few, again = (tmp_path / f"{name}.json" for name in ("first", "few", "again"))
+    assert main(["analyze", str(path), "--out", str(first)]) == 0
+    assert main(["analyze", str(path), "--samples", "50", "--out", str(few)]) == 0
+    assert main(["analyze", str(path), "--out", str(again)]) == 0
+    assert few.read_bytes() != first.read_bytes()
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_a_usage_error_leaves_the_next_call_unharmed(tmp_path, capsys):
+    path = _write_map(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", str(path), "--samples", "many"])
+    assert info.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert main(["analyze", str(path), "--json", *FAST]) == 0
+    assert json.loads(capsys.readouterr().out)["unital"] is True
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]], ids=["top", "analyze"])
+def test_help_prints_the_same_text_on_every_call(capsys, argv):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: perispec")

@@ -194,6 +194,39 @@ def test_booleans_are_not_numbers(document, message):
         load(document)
 
 
+# An integer beyond the float range at each site that reads a number; numpy
+# leaves such a matrix entry to the per-entry parser as dtype object.
+_HUGE = 10**400
+_HUGE_INTEGERS = {
+    "lambda0": ({"map": {"preset": {"name": "ex1", "lambda0": [0, _HUGE]}}},
+                "map.preset.lambda0"),
+    "t": ({"map": {"preset": {"name": "ex1c", "lambda0": [0, 1], "t": -_HUGE}}},
+          "map.preset.t"),
+    "superop-entry": ({"algebra": {"blocks": [1]}, "map": {"superop": [[[_HUGE, 0]]]}},
+                      r"map.superop\[0\]"),
+    "block2-entry": ({"block2": BLOCK2 | {"b": [[0, _HUGE], [0, 0]]}}, r"block2.b\[0\]"),
+}
+
+
+@pytest.mark.parametrize("document,site", _HUGE_INTEGERS.values(), ids=_HUGE_INTEGERS.keys())
+def test_integers_beyond_the_float_range_name_their_site(document, site):
+    load = load_block2_file if "block2" in document else load_map_file
+    with pytest.raises(MapFileError, match=f"^{site}: an integer beyond the float range$"):
+        load(document)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b'{"map": {"superop": [[' + b"1" * 5000 + b"]]}}"],
+    ids=["not-utf8", "past-the-digit-limit"],
+)
+def test_files_json_cannot_read_are_map_file_errors(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(MapFileError, match="cannot parse"):
+        load_map_file(path)
+
+
 def _reports():
     ex1, manifest1 = build_example1(GENERIC)
     ex2, manifest2 = build_example2(GENERIC)
