@@ -6,10 +6,14 @@ complex matrices, one per block, and are vectorized by concatenating the
 row-major entries of the blocks in order. All operations are pure: inputs are
 never mutated, and every element wraps read-only arrays so values can be
 shared freely.
+Input is copied and checked where it enters, in :meth:`BlockAlgebra.element`
+and :func:`devectorize`. Elements built from perispec's own arrays go through
+:meth:`BlockAlgebra._wrap`, which neither copies nor checks them again.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -80,6 +84,14 @@ def max_norm(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
+def _frozen(a) -> np.ndarray:
+    """``a``, which nothing else writes to, as a read-only C-contiguous
+    complex128 array; copied only when its dtype or layout differs."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    a.setflags(write=False)
+    return a
+
+
 def _as_square_matrix(m) -> np.ndarray:
     a = np.array(m, dtype=np.complex128, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -124,14 +136,22 @@ class BlockAlgebra:
         return sum(self.blocks)
 
     def element(self, parts: Sequence) -> "AlgebraElement":
-        """Wrap one square matrix per block as an element of this algebra."""
+        """Wrap a checked copy of one square matrix per block as an element."""
         return AlgebraElement(self, tuple(_as_square_matrix(p) for p in parts))
 
+    def _wrap(self, parts: Sequence[np.ndarray]) -> "AlgebraElement":
+        """The element with parts that perispec computed itself, one finite
+        square matrix per block: unchecked, and copied only by _frozen."""
+        x = object.__new__(AlgebraElement)
+        object.__setattr__(x, "algebra", self)
+        object.__setattr__(x, "parts", tuple(map(_frozen, parts)))
+        return x
+
     def identity(self) -> "AlgebraElement":
-        return self.element([np.eye(n) for n in self.blocks])
+        return self._wrap([np.eye(n) for n in self.blocks])
 
     def scalar(self, c: complex) -> "AlgebraElement":
-        return self.element([c * np.eye(n) for n in self.blocks])
+        return c * self.identity()
 
     def basis(self) -> Iterator["AlgebraElement"]:
         """Matrix-unit basis in vectorization order (blocks in order, row-major)."""
@@ -185,24 +205,26 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
-        return self.algebra.element([p + q for p, q in zip(self.parts, other.parts)])
+        return self.algebra._wrap([p + q for p, q in zip(self.parts, other.parts)])
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
-        return self.algebra.element([p - q for p, q in zip(self.parts, other.parts)])
+        return self.algebra._wrap([p - q for p, q in zip(self.parts, other.parts)])
 
     def __neg__(self) -> "AlgebraElement":
-        return self.algebra.element([-p for p in self.parts])
+        return self.algebra._wrap([-p for p in self.parts])
 
     def __mul__(self, c: complex) -> "AlgebraElement":
-        return self.algebra.element([c * p for p in self.parts])
+        if not cmath.isfinite(c):
+            raise ValueError(f"scalar factor must be finite, got {c!r}")
+        return self.algebra._wrap([c * p for p in self.parts])
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Blockwise matrix product."""
         self._check_same(other)
-        return self.algebra.element([p @ q for p, q in zip(self.parts, other.parts)])
+        return self.algebra._wrap([p @ q for p, q in zip(self.parts, other.parts)])
 
     def trace(self) -> complex:
         return complex(sum(np.trace(p) for p in self.parts))
@@ -223,15 +245,21 @@ def devectorize(algebra: BlockAlgebra, v: np.ndarray) -> AlgebraElement:
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.size != algebra.dim:
         raise DimensionMismatch(f"vector of length {v.size} does not fit dim {algebra.dim}")
+    return algebra.element(_devectorize(algebra, v).parts)
+
+
+def _devectorize(algebra: BlockAlgebra, v: np.ndarray) -> AlgebraElement:
+    """:func:`devectorize` through :meth:`BlockAlgebra._wrap`, for a vector
+    that perispec computed itself."""
     o = algebra.offsets
-    return algebra.element(
+    return algebra._wrap(
         [v[o[k] : o[k + 1]].reshape(n, n) for k, n in enumerate(algebra.blocks)]
     )
 
 
 def adjoint(x: AlgebraElement) -> AlgebraElement:
     """Blockwise conjugate transpose."""
-    return x.algebra.element([p.conj().T for p in x.parts])
+    return x.algebra._wrap([p.conj().T for p in x.parts])
 
 
 def _mix_pairs(algebra: BlockAlgebra, a: np.ndarray, mix: np.ndarray) -> np.ndarray:
@@ -387,8 +415,11 @@ def scalar_multiple_of_identity(
     x: AlgebraElement, tol: Tolerances = DEFAULT_TOL
 ) -> complex | None:
     """The scalar c with x = c 1, or None when x is not a scalar multiple."""
+    c, residual = _scalar_fit(x)
+    return c if residual <= tol.eq_tol * max(1.0, abs(c)) else None
+
+
+def _scalar_fit(x: AlgebraElement) -> tuple[complex, float]:
+    """c = trace(x) / size and the largest entry of x - c 1."""
     c = x.trace() / x.algebra.total_size
-    residual = element_norm(x - x.algebra.scalar(c))
-    if residual > tol.eq_tol * max(1.0, abs(c)):
-        return None
-    return c
+    return c, max(max_norm(p - c * np.eye(len(p))) for p in x.parts)

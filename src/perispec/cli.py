@@ -25,6 +25,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import Tolerances, devectorize, vectorize
 from .analysis import STANDARD_SAMPLES, analyze, classification_entry, tolerances_entry
 from .errors import (
@@ -262,9 +264,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 f"got {len(coeffs)} coefficients for a {point.dimension}-dimensional "
                 "eigenspace"
             )
-        combo_vec = sum(
-            c * vectorize(x) for c, x in zip(coeffs, point.basis)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            combo_vec = sum(c * vectorize(x) for c, x in zip(coeffs, point.basis))
+        if not np.isfinite(combo_vec).all():
+            raise MapFileError("the --coeffs combination overflows the float range")
         combo = devectorize(loaded.phi.algebra, combo_vec)
         report["combination"] = {
             "coefficients": [complex_to_pair(c) for c in coeffs]

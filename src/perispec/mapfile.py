@@ -251,7 +251,8 @@ def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMa
             f"superop of shape {matrix.shape} does not fit coefficient dimension "
             f"{algebra.dim}"
         )
-    return LoadedMap(phi=Superoperator(algebra, matrix))
+    # _parse_matrix has checked the entries and the shape is checked above
+    return LoadedMap(phi=Superoperator._wrap(algebra, matrix))
 
 
 def explicit_map_dict(phi: Superoperator) -> dict:

@@ -25,7 +25,7 @@ from .algebra import (
     DEFAULT_TOL,
     AlgebraElement,
     Tolerances,
-    devectorize,
+    _devectorize,
     hermitian_eig,
     hermitian_eigenvalues,
     max_norm,
@@ -476,7 +476,7 @@ def randomized_positivity_falsifier(
         worst_defect = max(worst_defect, defect)
     return FalsifierResult(
         min_output_eig=least,
-        worst_input=devectorize(algebra, vec),
+        worst_input=_devectorize(algebra, vec),
         samples=used,
         seed=seed,
         passed=least >= -tol.psd_tol,

@@ -169,7 +169,7 @@ class _Psi:
         vectors = []
         for unit in _SECTOR_UNITS:
             parts = [np.multiply.outer(character, unit) for _, character in self.eigenpairs]
-            vectors.append([self.algebra.element(p / np.linalg.norm(p)) for p in parts])
+            vectors.append([self.algebra._wrap(p / np.linalg.norm(p)) for p in parts])
         return vectors
 
 
@@ -222,7 +222,7 @@ def _superoperator(psi: _Psi, t: float, lam: complex) -> Superoperator:
         e = e.view(np.float64)  # row r of E as (re, im) pairs
     product = e[None, :, None, :] * power[:, None, :, None]
     matrix = product.view(np.complex128).reshape(side, side)
-    return Superoperator(psi.algebra, matrix)
+    return Superoperator._wrap(psi.algebra, matrix)
 
 
 def _lambda0(psi: _Psi, lambda0: complex) -> complex:

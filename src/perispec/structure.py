@@ -28,6 +28,7 @@ from .algebra import (
     DEFAULT_TOL,
     AlgebraElement,
     Tolerances,
+    _scalar_fit,
     adjoint,
     element_norm,
     hermitian_eig,
@@ -105,28 +106,35 @@ def _eigen_residual(
 def _normalized(
     phi: Superoperator, value: complex, x: AlgebraElement, tol: Tolerances
 ) -> tuple[AlgebraElement, float]:
-    """The eigenvector x scaled so that x x* + x* x = 1, and the scalar c
-    with x x* + x* x = c 1 before scaling."""
+    """The eigenvector x scaled so that x x* + x* x = 1, and sqrt(c) for the
+    scalar c with x x* + x* x = c 1 before scaling.
+
+    The work is done on y = x / 2**e, 2**e just above the largest entry of x,
+    so that no product overflows. The scaling is exact: each test compares
+    what it would on x, scaled alike, and every test fails on NaN."""
     scale = element_norm(x)
-    if scale <= tol.eq_tol:
+    if not scale > tol.eq_tol:
         raise NotEigenvector("the zero element cannot be normalized")
-    residual = _eigen_residual(phi, value, x)
-    if residual > tol.eq_tol * max(1.0, scale):
+    e = math.frexp(scale)[1]
+    y = x.algebra._wrap([np.ldexp(p.view(float), -e).view(complex) for p in x.parts])
+    residual = math.ldexp(_eigen_residual(phi, value, y), e)
+    if not residual <= tol.eq_tol * max(1.0, scale):
         raise NotEigenvector(
             f"residual {residual:.3e} at eigenvalue {value!r} exceeds tolerance"
         )
-    combo = x @ adjoint(x) + adjoint(x) @ x
-    c = scalar_multiple_of_identity(combo, tol)
-    if c is None:
+    c, drift = _scalar_fit(y @ adjoint(y) + adjoint(y) @ y)
+    bound = tol.eq_tol * max(math.ldexp(1.0, -2 * e), abs(c))
+    if not drift <= bound:
         raise NotScalarCombination(
             "x x* + x* x is not a scalar multiple of the identity"
         )
-    if abs(c.imag) > tol.eq_tol * max(1.0, abs(c)) or c.real <= tol.eq_tol:
+    if not (abs(c.imag) <= bound and c.real > math.ldexp(tol.eq_tol, -2 * e)):
+        c = complex(math.ldexp(c.real, 2 * e), math.ldexp(c.imag, 2 * e))
         raise NotScalarCombination(
             f"x x* + x* x equals {c!r} times the identity, which is not positive"
         )
-    c = float(c.real)
-    return (1.0 / math.sqrt(c)) * x, c
+    root = math.sqrt(c.real)
+    return (1.0 / root) * y, math.ldexp(root, e)
 
 
 def normalize_eigenvector(
@@ -150,12 +158,12 @@ def _theta_scalar(square: AlgebraElement, tol: Tolerances) -> float:
         raise NotScalarCombination(
             "x^2 (x*)^2 is not a scalar multiple of the identity"
         )
-    if abs(theta.imag) > max(tol.eq_tol, 1e-12 * max(1.0, abs(theta))):
+    if not abs(theta.imag) <= max(tol.eq_tol, 1e-12 * max(1.0, abs(theta))):
         raise ThetaOutOfRange(f"theta = {theta!r} is not real")
     value = float(theta.real)
-    if value <= tol.eq_tol:
+    if not value > tol.eq_tol:
         raise ThetaOutOfRange(f"theta = {value:.3e} is not strictly positive")
-    if value > 0.25 + CASE_III_THETA_TOL:
+    if not value <= 0.25 + CASE_III_THETA_TOL:
         raise ThetaOutOfRange(f"theta = {value!r} exceeds 1/4")
     return value
 
@@ -194,7 +202,7 @@ def _split_parts(
             "the spectrum of x* x does not split into two nonempty groups"
         )
     for w, _, _ in spectra:
-        if w[0] <= tol.rank_tol:
+        if not w[0] > tol.rank_tol:
             raise ProjectionMismatch(
                 f"x* x is singular on a two-coefficient split: its smallest "
                 f"eigenvalue is {w[0]:.3e}"
@@ -205,22 +213,22 @@ def _split_parts(
         e.append(lower @ lower.conj().T)
         v1.append(x @ (lower / np.sqrt(w[is_low])) @ lower.conj().T)
         v2.append(x @ (upper / np.sqrt(w[~is_low])) @ upper.conj().T)
-    element = xhat.algebra.element
-    return element(e), element(v1), element(v2)
+    wrap = xhat.algebra._wrap
+    return wrap(e), wrap(v1), wrap(v2)
 
 
 def _check_case1(xhat: AlgebraElement, tol: Tolerances) -> CaseI:
     e = adjoint(xhat) @ xhat
     one = xhat.algebra.identity()
     idem = element_norm(e @ e - e)
-    if idem > 10.0 * tol.eq_tol:
+    if not idem <= 10.0 * tol.eq_tol:
         raise ProjectionMismatch(f"x* x is not idempotent (defect {idem:.3e})")
     complement = element_norm(xhat @ adjoint(xhat) - (one - e))
-    if complement > 10.0 * tol.eq_tol:
+    if not complement <= 10.0 * tol.eq_tol:
         raise ProjectionMismatch(
             f"x x* deviates from 1 - x* x by {complement:.3e}"
         )
-    if element_norm(e) <= tol.eq_tol or element_norm(one - e) <= tol.eq_tol:
+    if not (element_norm(e) > tol.eq_tol and element_norm(one - e) > tol.eq_tol):
         raise ProjectionMismatch("the initial projection is trivial")
     return CaseI(v=xhat, e=e)
 
@@ -239,7 +247,7 @@ def classify_eigenvector(
     derived projections and partial isometries do not satisfy their defining
     relations.
     """
-    xhat, c = _normalized(phi, value, x, tol)
+    xhat, root = _normalized(phi, value, x, tol)
     square = xhat @ xhat
     if element_norm(square) <= tol.eq_tol:
         return _check_case1(xhat, tol)
@@ -248,24 +256,24 @@ def classify_eigenvector(
         u = math.sqrt(2.0) * xhat
         one = xhat.algebra.identity()
         defect = element_norm(adjoint(u) @ u - one)
-        if defect > 10.0 * tol.eq_tol:
+        if not defect <= 10.0 * tol.eq_tol:
             raise InvariantViolated(
                 f"sqrt(2) x is not unitary (defect {defect:.3e})"
             )
-        return CaseIII(u=u, scale=complex(math.sqrt(c) / math.sqrt(2.0)))
+        return CaseIII(u=u, scale=complex(root / math.sqrt(2.0)))
     spread = math.sqrt(1.0 - 4.0 * theta)
     low = (1.0 - spread) / 2.0
     high = (1.0 + spread) / 2.0
     e, v1, v2 = _split_parts(xhat, low, high, tol)
     swap = element_norm(v1 @ adjoint(v1) - (xhat.algebra.identity() - e))
-    if swap > 1e-7:
+    if not swap <= 1e-7:
         raise ProjectionMismatch(
             f"the polar unitary does not exchange e with its complement "
             f"(defect {swap:.3e})"
         )
     for name, part in (("v1", v1), ("v2", v2)):
         residual = _eigen_residual(phi, value, part)
-        if residual > max(1e-7, tol.eq_tol * max(1.0, element_norm(part))):
+        if not residual <= max(1e-7, tol.eq_tol * max(1.0, element_norm(part))):
             raise SplitNotEigen(
                 f"{name} drifts from the eigenspace by {residual:.3e}"
             )

@@ -21,9 +21,11 @@ from .algebra import (
     AlgebraElement,
     BlockAlgebra,
     Tolerances,
+    _as_square_matrix,
+    _devectorize,
+    _frozen,
     adjoint,
     column_space,
-    devectorize,
     element_norm,
     from_hermitian_basis,
     general_eig,
@@ -52,7 +54,6 @@ __all__ = [
     "JordanClosureReport",
     "GroupClosureReport",
     "ContinuousFamily",
-    "from_action",
     "apply",
     "unitality_check",
     "point_spectrum",
@@ -79,16 +80,22 @@ class Superoperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=np.complex128, order="C")
+        m = _as_square_matrix(self.matrix)
         d = self.algebra.dim
         if m.shape != (d, d):
             raise DimensionMismatch(
                 f"superoperator matrix of shape {m.shape} does not fit dim {d}"
             )
-        if not np.isfinite(m).all():
-            raise ValueError("superoperator entries must be finite")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _wrap(cls, algebra: BlockAlgebra, matrix: np.ndarray) -> "Superoperator":
+        """The map with a d x d finite matrix that perispec built or checked:
+        unchecked, and copied only by :func:`~perispec.algebra._frozen`."""
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "algebra", algebra)
+        object.__setattr__(phi, "matrix", _frozen(matrix))
+        return phi
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return apply(self, x)
@@ -232,22 +239,10 @@ class ContinuousFamily:
     zero_time_note: str | None = None
 
 
-def from_action(
-    algebra: BlockAlgebra, action: Callable[[AlgebraElement], AlgebraElement]
-) -> Superoperator:
-    """Build the matrix by applying a linear action to the matrix-unit basis."""
-    columns = []
-    for image in map(action, algebra.basis()):
-        if image.algebra != algebra:
-            raise AlgebraMismatch("basis image lives in a different algebra")
-        columns.append(vectorize(image))
-    return Superoperator(algebra, np.column_stack(columns))
-
-
 def apply(phi: Superoperator, x: AlgebraElement) -> AlgebraElement:
     if x.algebra != phi.algebra:
         raise AlgebraMismatch("element does not live in the superoperator's algebra")
-    return devectorize(phi.algebra, phi.matrix @ vectorize(x))
+    return _devectorize(phi.algebra, phi.matrix @ vectorize(x))
 
 
 def unitality_check(phi: Superoperator, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -364,7 +359,7 @@ def point_spectrum(
                     f"eigenvector drift {drift:.3e} at eigenvalue {value!r}"
                 )
         points.append(
-            SpectralPoint(value, tuple(devectorize(phi.algebra, v) for v in basis.T))
+            SpectralPoint(value, tuple(_devectorize(phi.algebra, v) for v in basis.T))
         )
     return PointSpectrum(tuple(points))
 
@@ -412,7 +407,7 @@ def invariant_state(
     projected = sum(np.vdot(vec, mixed) * vec for vec in kernel)
     if real is not None:
         projected = from_hermitian_basis(phi.algebra, projected)
-    candidate = devectorize(phi.algebra, projected)
+    candidate = _devectorize(phi.algebra, projected)
     herm_defect = element_norm(candidate - adjoint(candidate))
     if herm_defect > tol.eq_tol:
         raise NoPositiveFixedState(
@@ -424,7 +419,7 @@ def invariant_state(
         raise NoPositiveFixedState("projected fixed point has vanishing trace")
     rho = (1.0 / trace) * candidate
     fixed_residual = element_norm(
-        devectorize(phi.algebra, phi.matrix.conj().T @ vectorize(rho)) - rho
+        _devectorize(phi.algebra, phi.matrix.conj().T @ vectorize(rho)) - rho
     )
     if fixed_residual > max(tol.eq_tol, 10.0 * tol.rank_tol):
         raise NoPositiveFixedState(

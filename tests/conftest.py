@@ -1,9 +1,19 @@
-"""Shared helpers for the test suite: seeded generators and random inputs."""
+"""Shared helpers for the test suite: seeded generators, random inputs and
+maps built from their action."""
+
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from perispec import BlockAlgebra, Tolerances
+from perispec import (
+    AlgebraElement,
+    AlgebraMismatch,
+    BlockAlgebra,
+    Superoperator,
+    Tolerances,
+    vectorize,
+)
 
 TEST_SEED = 987654321
 
@@ -35,6 +45,25 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_element(algebra: BlockAlgebra, rng: np.random.Generator):
     return algebra.element([random_complex(rng, n, n) for n in algebra.blocks])
+
+
+def assert_frozen(a: np.ndarray) -> None:
+    """a is a read-only, C-contiguous complex128 array."""
+    assert a.dtype == np.complex128
+    assert a.flags.c_contiguous
+    assert not a.flags.writeable
+
+
+def from_action(
+    algebra: BlockAlgebra, action: Callable[[AlgebraElement], AlgebraElement]
+) -> Superoperator:
+    """Build the matrix by applying a linear action to the matrix-unit basis."""
+    columns = []
+    for image in map(action, algebra.basis()):
+        if image.algebra != algebra:
+            raise AlgebraMismatch("basis image lives in a different algebra")
+        columns.append(vectorize(image))
+    return Superoperator(algebra, np.column_stack(columns))
 
 
 @pytest.fixture

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 import perispec
 from perispec import (
+    AlgebraMismatch,
     BlockAlgebra,
+    DimensionMismatch,
     NotHermitian,
     Tolerances,
     adjoint,
@@ -32,7 +34,13 @@ from perispec.algebra import (
     to_hermitian_basis,
 )
 
-from conftest import random_complex, random_element, random_hermitian, rng_for
+from conftest import (
+    assert_frozen,
+    random_complex,
+    random_element,
+    random_hermitian,
+    rng_for,
+)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-9, float("inf"), float("nan")])
@@ -345,6 +353,8 @@ def test_scalar_multiple_detection(two_blocks):
     bumped = x + 1e-3 * list(two_blocks.basis())[1]
     assert scalar_multiple_of_identity(bumped) is None
     assert scalar_multiple_of_identity(two_blocks.scalar(0.0)) == 0.0
+    nan = np.full((2, 2), np.nan)
+    assert scalar_multiple_of_identity(two_blocks._wrap([nan, nan])) is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -369,3 +379,66 @@ def test_vectorize_round_trip_hypothesis(entries):
     algebra = BlockAlgebra((2,))
     x = algebra.element([np.array(entries).reshape(2, 2)])
     assert element_norm(devectorize(algebra, vectorize(x)) - x) == 0.0
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf"), complex(0.0, float("nan"))]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_element_and_devectorize_reject_entries_that_are_not_finite(two_blocks, bad):
+    part = np.eye(2, dtype=np.complex128)
+    part[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        two_blocks.element([np.eye(2), part])
+    v = np.zeros(two_blocks.dim, dtype=np.complex128)
+    v[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        devectorize(two_blocks, v)
+
+
+def test_element_and_devectorize_reject_wrong_shapes(two_blocks):
+    with pytest.raises(DimensionMismatch):
+        two_blocks.element([np.eye(2), np.ones((2, 3))])
+    with pytest.raises(DimensionMismatch):
+        two_blocks.element([np.eye(2), np.ones(4)])
+    with pytest.raises(AlgebraMismatch):
+        two_blocks.element([np.eye(2), np.eye(3)])
+    with pytest.raises(AlgebraMismatch):
+        two_blocks.element([np.eye(2)])
+    with pytest.raises(DimensionMismatch):
+        devectorize(two_blocks, np.zeros(two_blocks.dim + 1))
+
+
+@pytest.mark.parametrize("c", [float("inf"), float("nan"), complex(1.0, -float("inf"))])
+def test_scaling_by_a_scalar_that_is_not_finite_raises(two_blocks, c):
+    x = two_blocks.identity()
+    for scale in (lambda: x * c, lambda: c * x, lambda: two_blocks.scalar(c)):
+        with pytest.raises(ValueError, match="finite"):
+            scale()
+
+
+def test_element_and_devectorize_keep_no_reference_to_their_input(two_blocks):
+    part = np.arange(4, dtype=np.complex128).reshape(2, 2)
+    x = two_blocks.element([part, part])
+    v = vectorize(x)
+    y = devectorize(two_blocks, v)
+    part[:] = 99.0
+    v[:] = 99.0
+    for element in (x, y):
+        for p in element.parts:
+            assert np.array_equal(p, np.arange(4).reshape(2, 2))
+
+
+def test_every_element_that_arithmetic_builds_is_frozen(two_blocks):
+    rng = rng_for(91)
+    x, y = random_element(two_blocks, rng), random_element(two_blocks, rng)
+    built = [
+        x + y, x - y, -x, 2.0 * x, x * (0.5 - 1j), x @ y, adjoint(x),
+        two_blocks.identity(), two_blocks.scalar(2.5 - 1j),
+        devectorize(two_blocks, vectorize(x)), *two_blocks.basis(),
+    ]
+    for element in built:
+        for part in element.parts:
+            assert_frozen(part)
+    with pytest.raises(ValueError):
+        adjoint(x).parts[0][0, 1] = 1.0

@@ -626,3 +626,45 @@ def test_help_prints_the_same_text_on_every_call(capsys, argv):
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     assert texts[0].startswith("usage: perispec")
+
+
+def _ex2_at_i(tmp_path):
+    path = tmp_path / "ex2.json"
+    assert main(["example", "ex2", "--angle", "90", "--out", str(path)]) == 0
+    point = point_spectrum(load_map_file(path).phi).find(1j)
+    return path, np.array([vectorize(x) for x in point.basis])
+
+
+def test_classify_rejects_a_coefficient_combination_that_overflows(tmp_path, capsys):
+    path, basis = _ex2_at_i(tmp_path)
+    # at the entry where the basis weighs most, each coefficient adds the
+    # real and imaginary parts of its vector's entry with one sign, at 1.7e308
+    weight = np.abs(basis.real) + np.abs(basis.imag)
+    k = int(np.argmax(weight.sum(axis=0)))
+    assert weight[:, k].sum() > 1.06  # so that the real part passes 1.8e308
+    coeffs = ";".join(
+        f"{float(1.7e308 * np.sign(z.real))!r},{float(-1.7e308 * np.sign(z.imag))!r}"
+        for z in basis[:, k]
+    )
+    assert main(["classify", str(path), "--lam", "0,1", f"--coeffs={coeffs}"]) == 2
+    assert "--coeffs combination" in capsys.readouterr().err
+
+
+def test_classify_takes_huge_coefficients_up_to_the_float_range(tmp_path, capsys):
+    path, basis = _ex2_at_i(tmp_path)
+    with np.errstate(over="ignore"):
+        overflows = not np.isfinite(1e308 * basis[0] + 1e308 * basis[1]).all()
+    code = main(["classify", str(path), "--lam", "0,1", "--coeffs=1e308,0;1e308,0", "--json"])
+    assert code == (2 if overflows else 0)
+    if not overflows:
+        assert json.loads(capsys.readouterr().out)["combination"]["case"] == "II"
+
+
+def test_classify_a_vector_whose_products_overflow(tmp_path, capsys):
+    # x x* + x* x is about 1e400 here; classification works on x scaled by
+    # a power of two
+    path = _write_map(tmp_path)
+    assert main(["classify", str(path), "--lam", "1,0", "--coeffs", "1e200,0", "--json"]) == 0
+    combination = json.loads(capsys.readouterr().out)["combination"]
+    assert combination["case"] == "III"
+    assert combination["scale"][0] == pytest.approx(1e200 / np.sqrt(2.0), rel=1e-12)

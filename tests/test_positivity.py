@@ -28,14 +28,13 @@ from perispec import (
     criterion_commuting,
     criterion_epsilon,
     criterion_epsilon_prime,
-    from_action,
     offdiag_swap_under_hypotheses,
     oracle_psd,
     randomized_positivity_falsifier,
     vectorize,
 )
 
-from conftest import random_complex, random_psd, random_unitary, rng_for
+from conftest import from_action, random_complex, random_psd, random_unitary, rng_for
 
 AGREEMENT_TOL = Tolerances(eq_tol=1e-9, rank_tol=1e-8, psd_tol=1e-8)
 

@@ -16,7 +16,6 @@ from perispec import (
     build_psi_swap,
     element_norm,
     ergodicity_check,
-    from_action,
     group_closure_report,
     invariant_state,
     max_norm,
@@ -26,6 +25,8 @@ from perispec import (
     unitality_check,
     vectorize,
 )
+
+from conftest import from_action
 
 GENERIC = cmath.exp(2j * cmath.pi / 5)
 

@@ -1,5 +1,8 @@
 """Eigenvector shapes: normalization, three-way classification, round trips."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -356,3 +359,23 @@ def test_case2_singular_modulus_names_the_least_eigenvalue(tol):
     phi, b0, b1 = _eigenspace_basis(1j, -1j)
     with pytest.raises(ProjectionMismatch, match="smallest eigenvalue is 1.000e-08"):
         classify_eigenvector(phi, -1j, b0 + 1e-4 * b1, tol)
+
+
+@pytest.mark.parametrize("power", [-10, 1, 600, 1000])
+def test_classification_is_exact_under_scaling_by_a_power_of_two(tol, power):
+    """x and 2**power x classify to the same bits, up to the scale of case
+    III, also where the products of 2**power x overflow."""
+    for phi, manifest in (build_example1(GENERIC), build_example2(1j)):
+        for value, basis in zip(manifest.expected_spectrum, manifest.canonical_eigenvectors):
+            x = basis[0] + 0.5 * basis[-1]
+            base = classify_eigenvector(phi, value, x, tol)
+            scaled = classify_eigenvector(phi, value, math.ldexp(1.0, power) * x, tol)
+            assert type(scaled) is type(base)
+            for field in dataclasses.fields(base):
+                got, want = getattr(scaled, field.name), getattr(base, field.name)
+                if field.name == "scale":
+                    assert got == math.ldexp(want.real, power)
+                elif isinstance(want, float):
+                    assert got == want
+                else:
+                    assert all(np.array_equal(p, q) for p, q in zip(got.parts, want.parts))

@@ -7,6 +7,7 @@ from perispec import (
     AlgebraMismatch,
     BlockAlgebra,
     ContinuousFamily,
+    DimensionMismatch,
     NoPositiveFixedState,
     Superoperator,
     adjoint,
@@ -20,10 +21,11 @@ from perispec import (
     devectorize,
     element_norm,
     ergodicity_check,
-    from_action,
+    explicit_map_dict,
     group_closure_report,
     invariant_state,
     jordan_closure_check,
+    load_map_file,
     max_norm,
     null_space,
     point_spectrum,
@@ -38,7 +40,7 @@ from perispec.analysis import analyze
 from perispec.positivity import choi_matrix, complete_positivity
 from perispec.superop import PointSpectrum, SpectralPoint
 
-from conftest import random_element, random_unitary, rng_for
+from conftest import assert_frozen, from_action, random_element, random_unitary, rng_for
 
 GENERIC = np.exp(2j * np.pi / 5)
 
@@ -678,3 +680,40 @@ def test_continuous_eigen_check_needs_winding_phase_beyond_principal_branch():
     # the sector winds faster than the principal argument of its eigenvalue
     assert continuous_eigen_check(family, -GENERIC, x, ts) > 0.1
     assert continuous_eigen_check(family, -GENERIC, x, ts, phase=winding) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+def test_superoperator_rejects_entries_that_are_not_finite(mat2, bad):
+    m = np.eye(mat2.dim, dtype=np.complex128)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Superoperator(mat2, m)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (3, 3), (16,), (2, 4, 4)])
+def test_superoperator_rejects_wrong_shapes(mat2, shape):
+    with pytest.raises(DimensionMismatch):
+        Superoperator(mat2, np.zeros(shape))
+
+
+def test_superoperator_keeps_no_reference_to_its_input(mat2):
+    m = np.eye(mat2.dim)
+    phi = Superoperator(mat2, m)
+    m[:] = 7.0
+    assert np.array_equal(phi.matrix, np.eye(mat2.dim))
+    assert_frozen(phi.matrix)
+
+
+def test_maps_and_elements_built_inside_perispec_are_frozen(two_blocks):
+    phi, _ = build_example2(GENERIC)
+    family = build_example2_continuous(GENERIC)
+    loaded = load_map_file(explicit_map_dict(phi)).phi
+    for matrix in (phi.matrix, family.builder(0.5).matrix, loaded.matrix):
+        assert_frozen(matrix)
+    x = random_element(two_blocks, rng_for(92))
+    spectrum = point_spectrum(phi)
+    built = [apply(phi, x), invariant_state(phi).rho]
+    built += [v for point in spectrum.points for v in point.basis]
+    for element in built:
+        for part in element.parts:
+            assert_frozen(part)
