@@ -203,13 +203,25 @@ class AlgebraElement:
                 f"elements of {self.algebra.blocks} and {other.algebra.blocks}"
             )
 
+    def _combined(self, op, others: Sequence) -> "AlgebraElement":
+        """The element with parts op(p, q) for the parts p of self and q of
+        ``others``. A result that leaves the float range from finite operands
+        raises ValueError, with no RuntimeWarning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = [op(p, q) for p, q in zip(self.parts, others)]
+        if not all(np.isfinite(p).all() for p in parts) and all(
+            np.isfinite(p).all() for p in (*self.parts, *others)
+        ):
+            raise ValueError("element arithmetic overflows the float range")
+        return self.algebra._wrap(parts)
+
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
-        return self.algebra._wrap([p + q for p, q in zip(self.parts, other.parts)])
+        return self._combined(np.add, other.parts)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_same(other)
-        return self.algebra._wrap([p - q for p, q in zip(self.parts, other.parts)])
+        return self._combined(np.subtract, other.parts)
 
     def __neg__(self) -> "AlgebraElement":
         return self.algebra._wrap([-p for p in self.parts])
@@ -217,14 +229,14 @@ class AlgebraElement:
     def __mul__(self, c: complex) -> "AlgebraElement":
         if not cmath.isfinite(c):
             raise ValueError(f"scalar factor must be finite, got {c!r}")
-        return self.algebra._wrap([c * p for p in self.parts])
+        return self._combined(lambda p, c: c * p, [c] * len(self.parts))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Blockwise matrix product."""
         self._check_same(other)
-        return self.algebra._wrap([p @ q for p, q in zip(self.parts, other.parts)])
+        return self._combined(np.matmul, other.parts)
 
     def trace(self) -> complex:
         return complex(sum(np.trace(p) for p in self.parts))
@@ -301,6 +313,14 @@ def hermitian_basis_form(algebra: BlockAlgebra, m: np.ndarray) -> tuple[np.ndarr
     return real, max_norm(h.imag) / max(1.0, max_norm(real))
 
 
+def _hermitian_defects(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """For each matrix of a stack (..., n, n): the largest entry of h - h*,
+    and whether it exceeds ``eq_tol`` times max(1, the largest entry of h)."""
+    defect = np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
+    return defect, defect > tol.eq_tol * scale
+
+
 def _checked_hermitian(h, tol: Tolerances) -> np.ndarray:
     """h as complex128, a matrix or a stack (..., n, n) of them, each checked
     against its own scale."""
@@ -310,9 +330,8 @@ def _checked_hermitian(h, tol: Tolerances) -> np.ndarray:
         if defect > tol.eq_tol * max(1.0, max_norm(h)):
             raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e}")
         return h
-    defect = np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
-    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
-    failed = np.argwhere(defect > tol.eq_tol * scale)
+    defect, failed = _hermitian_defects(h, tol)
+    failed = np.argwhere(failed)
     if failed.size:
         index = tuple(int(i) for i in failed[0])
         raise NotHermitian(

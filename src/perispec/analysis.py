@@ -20,13 +20,21 @@ from .errors import MultiBlockUnsupported, PerispecError
 from .mapfile import complex_to_pair, element_to_json
 from .positivity import complete_positivity, randomized_positivity_falsifier
 from .presets import ExampleManifest
-from .structure import CaseI, CaseII, CaseIII, case_tag, classify_eigenvector
+from .structure import (
+    CaseI,
+    CaseII,
+    CaseIII,
+    Classification,
+    case_tag,
+    classify_eigenvectors,
+)
 from .superop import (
     MERGE_TOL,
     PERIPHERAL_TOL,
     ContinuousFamily,
     PointSpectrum,
     Superoperator,
+    _stacked_eigenvectors,
     continuous_eigen_check,
     ergodicity_check,
     group_closure_report,
@@ -59,14 +67,12 @@ def _versions_entry() -> dict:
     return {"perispec": __version__, "numpy": np.__version__}
 
 
-def classification_entry(
-    phi: Superoperator, value: complex, x, tol: Tolerances
-) -> dict:
-    """Classify one eigenvector, capturing typed failures instead of raising."""
-    try:
-        result = classify_eigenvector(phi, value, x, tol)
-    except PerispecError as exc:
-        return {"error": type(exc).__name__, "message": str(exc)}
+def classification_entry(result: Classification | PerispecError) -> dict:
+    """The report entry of one outcome of
+    :func:`~perispec.structure.classify_eigenvectors`: the classification, or
+    the typed failure."""
+    if isinstance(result, PerispecError):
+        return {"error": type(result).__name__, "message": str(result)}
     entry: dict = {"case": case_tag(result)}
     if isinstance(result, CaseI):
         entry["v"] = element_to_json(result.v)
@@ -156,6 +162,24 @@ def _closure_entry(
     }
 
 
+def _classifications_entry(
+    phi: Superoperator, spectrum: PointSpectrum, tol: Tolerances
+) -> list:
+    """Every basis vector of the spectrum, classified as one stack."""
+    labels, _, rows = _stacked_eigenvectors(spectrum, phi.algebra)
+    entries = map(
+        classification_entry,
+        classify_eigenvectors(phi, [value for value, _ in labels], rows, tol),
+    )
+    return [
+        {
+            "value": complex_to_pair(point.value),
+            "vectors": [{"index": i} | next(entries) for i in range(point.dimension)],
+        }
+        for point in spectrum.points
+    ]
+
+
 def _continuous_entry(
     family: ContinuousFamily,
     manifest: ExampleManifest | None,
@@ -229,17 +253,7 @@ def analyze(
         "point_spectrum": _spectrum_entry(spectrum),
         "group_closure": _group_entry(spectrum),
         "eigenspace_closure": _closure_entry(phi, spectrum, tol),
-        "classifications": [
-            {
-                "value": complex_to_pair(point.value),
-                "vectors": [
-                    {"index": i}
-                    | classification_entry(phi, point.value, x, tol)
-                    for i, x in enumerate(point.basis)
-                ],
-            }
-            for point in spectrum.points
-        ],
+        "classifications": _classifications_entry(phi, spectrum, tol),
     }
     if family is not None:
         report["continuous"] = _continuous_entry(

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import Tolerances, devectorize, vectorize
+from .algebra import Tolerances, vectorize
 from .analysis import STANDARD_SAMPLES, analyze, classification_entry, tolerances_entry
 from .errors import (
     BadLambda0,
@@ -60,6 +60,7 @@ from .positivity import (
     oracle_psd,
 )
 from .presets import PRESET_NAMES
+from .structure import classify_eigenvectors
 from .superop import MERGE_TOL, PERIPHERAL_TOL, point_spectrum
 
 _INPUT_ERRORS = (MapFileError, BadLambda0, MultiBlockUnsupported, LambdaNotInSpectrum)
@@ -247,16 +248,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise LambdaNotInSpectrum(
             f"{value:.6g} is not a peripheral eigenvalue; spectrum is {{{known}}}"
         )
-    report = {
-        "tolerances": tolerances_entry(tol, args.peripheral_tol, args.merge_tol),
-        "value": complex_to_pair(point.value),
-        "dimension": point.dimension,
-        "basis": [element_to_json(x) for x in point.basis],
-        "vectors": [
-            {"index": i} | classification_entry(loaded.phi, point.value, x, tol)
-            for i, x in enumerate(point.basis)
-        ],
-    }
+    rows = [vectorize(x) for x in point.basis]
     if args.coeffs is not None:
         coeffs = _parse_coeffs(args.coeffs)
         if len(coeffs) != point.dimension:
@@ -265,13 +257,27 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 "eigenspace"
             )
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            combo_vec = sum(c * vectorize(x) for c, x in zip(coeffs, point.basis))
-        if not np.isfinite(combo_vec).all():
+            combo = sum(c * row for c, row in zip(coeffs, rows))
+        if not np.isfinite(combo).all():
             raise MapFileError("the --coeffs combination overflows the float range")
-        combo = devectorize(loaded.phi.algebra, combo_vec)
+        rows.append(combo)
+    entries = [
+        classification_entry(outcome)
+        for outcome in classify_eigenvectors(
+            loaded.phi, [point.value] * len(rows), np.array(rows), tol
+        )
+    ]
+    report = {
+        "tolerances": tolerances_entry(tol, args.peripheral_tol, args.merge_tol),
+        "value": complex_to_pair(point.value),
+        "dimension": point.dimension,
+        "basis": [element_to_json(x) for x in point.basis],
+        "vectors": [{"index": i} | entry for i, entry in enumerate(entries[: point.dimension])],
+    }
+    if args.coeffs is not None:
         report["combination"] = {
             "coefficients": [complex_to_pair(c) for c in coeffs]
-        } | classification_entry(loaded.phi, point.value, combo, tol)
+        } | entries[-1]
     _emit(dump_json(report), args.out)
     return 0
 

@@ -5,9 +5,11 @@ preset stanza naming a built-in family. Complex numbers are encoded as
 [real, imaginary] pairs; matrices as row-major nested lists of those pairs.
 Every object passes one key check that names each missing and unknown key,
 and JSON true and false are not numbers. Well-formed numeric matrices are
-converted by numpy in one pass, which leaves one case open: a boolean among
-numbers is coerced. Anything else goes through a per-entry parser that names
-the offending entry.
+converted by numpy in one pass. numpy would read a boolean among numbers as
+0 or 1, so a matrix holding one, and anything else, goes through a per-entry
+parser that names the offending entry. Only a document whose text holds a t
+or an f, as true and false do, is searched for booleans; the numbers and the
+keys of an explicit map or a block2 file hold neither letter.
 All serialization is deterministic: keys are sorted, every number is a
 plain Python float, and the C JSON encoder renders every value that is not
 an object, or a list holding one, on a single line.
@@ -137,11 +139,21 @@ def _numeric_matrix(obj: list) -> np.ndarray | None:
     return None
 
 
-def _parse_matrix(obj, where: str) -> np.ndarray:
+def _holds_boolean(obj: list) -> bool:
+    """Whether a nested list holds a JSON true or false."""
+    return any(
+        v is True or v is False or (isinstance(v, list) and _holds_boolean(v)) for v in obj
+    )
+
+
+def _parse_matrix(obj, where: str, booleans: bool = True) -> np.ndarray:
+    """The matrix of ``obj``. Unless ``booleans`` rules out a JSON true or
+    false in it, it is searched for one, which the per-entry parser then
+    rejects."""
     if not isinstance(obj, list) or not obj:
         raise MapFileError(f"{where}: expected a nonempty nested list")
     matrix = _numeric_matrix(obj)
-    if matrix is not None:
+    if matrix is not None and not (booleans and _holds_boolean(obj)):
         if not np.isfinite(matrix).all():
             raise MapFileError(f"{where}: entries must be finite")
         return matrix
@@ -206,17 +218,20 @@ def _parse_algebra(obj) -> BlockAlgebra:
     )
 
 
-def _read_document(source: str | Path | dict):
-    """The document, from a path or already parsed."""
+def _read_document(source: str | Path | dict) -> tuple[object, bool]:
+    """The document, from a path or already parsed, and whether it may hold
+    a JSON true or false: a parsed one may, and a text only when it holds a
+    t or an f."""
     if isinstance(source, dict):
-        return source
+        return source, True
     path = Path(source)
     if not path.exists():
         raise MapFileError(f"no such file: {path}")
     # ValueError covers invalid JSON, text that is not UTF-8 and an integer
     # literal past Python's digit limit
     try:
-        return json.loads(path.read_text())
+        text = path.read_text()
+        return json.loads(text), "t" in text or "f" in text
     except (OSError, ValueError) as exc:
         raise MapFileError(f"cannot parse {path}: {exc}") from exc
 
@@ -226,7 +241,8 @@ def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMa
 
     ``t`` overrides the snapshot time of a continuous preset; every other map
     reads no t and rejects it."""
-    document = _fields(_read_document(source), "map file", ("map",), ("algebra",))
+    document, booleans = _read_document(source)
+    document = _fields(document, "map file", ("map",), ("algebra",))
     stanza = _fields(document["map"], "map", optional=("superop", "preset"))
     if ("superop" in stanza) == ("preset" in stanza):
         raise MapFileError("map must contain exactly one of superop or preset")
@@ -245,7 +261,7 @@ def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMa
     if "algebra" not in document:
         raise MapFileError("an explicit superop needs an algebra entry")
     algebra = _parse_algebra(document["algebra"])
-    matrix = _parse_matrix(stanza["superop"], "map.superop")
+    matrix = _parse_matrix(stanza["superop"], "map.superop", booleans)
     if matrix.shape != (algebra.dim, algebra.dim):
         raise MapFileError(
             f"superop of shape {matrix.shape} does not fit coefficient dimension "
@@ -276,14 +292,19 @@ def load_block2_file(
     source: str | Path | dict,
 ) -> tuple[Block2Matrix, np.ndarray | None, np.ndarray | None]:
     """Load a block 2x2 matrix file, returning optional congruence factors."""
-    document = _fields(_read_document(source), "block2 file", ("block2",))
+    document, booleans = _read_document(source)
+    document = _fields(document, "block2 file", ("block2",))
     stanza = _fields(document["block2"], "block2", ("a", "b", "c", "d"), ("x", "y"))
-    blocks = {k: _parse_matrix(stanza[k], f"block2.{k}") for k in ("a", "b", "c", "d")}
+    blocks = {
+        k: _parse_matrix(stanza[k], f"block2.{k}", booleans) for k in ("a", "b", "c", "d")
+    }
     try:
         m = Block2Matrix(**blocks)
     except Exception as exc:
         raise MapFileError(str(exc)) from exc
-    factors = {k: _parse_matrix(stanza[k], f"block2.{k}") for k in ("x", "y") if k in stanza}
+    factors = {
+        k: _parse_matrix(stanza[k], f"block2.{k}", booleans) for k in ("x", "y") if k in stanza
+    }
     misfits = [f"{k} has side {len(f)}" for k, f in factors.items() if len(f) != m.side]
     if misfits:
         raise MapFileError(f"block2 blocks have side {m.side}, but {' and '.join(misfits)}")

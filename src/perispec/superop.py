@@ -10,6 +10,8 @@ adjoint, the symmetrized product, and products of eigenvalues.
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -447,17 +449,22 @@ def _stacked_eigenvectors(
 
 
 def _block_stacks(algebra: BlockAlgebra, rows: np.ndarray) -> list[np.ndarray]:
-    """Per block, the (count, n, n) stack of that block of each row."""
-    o = algebra.offsets
-    return [
-        rows[:, o[k] : o[k + 1]].reshape(-1, n, n) for k, n in enumerate(algebra.blocks)
-    ]
+    """The elements whose vectorizations are the rows of ``rows``, as one
+    (count, blocks, n, n) stack per run of consecutive blocks of one side n:
+    its [j, b] matrix is block b of the run in row j."""
+    stacks, start = [], 0
+    for n, run in itertools.groupby(algebra.blocks):
+        blocks = len(list(run))
+        stop = start + blocks * n * n
+        stacks.append(rows[:, start:stop].reshape(-1, blocks, n, n))
+        start = stop
+    return stacks
 
 
 def _stacked_vectors(stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Inverse of :func:`_block_stacks`."""
     return np.concatenate(
-        [s.reshape(s.shape[0], s.shape[1] * s.shape[2]) for s in stacks], axis=1
+        [s.reshape(len(s), math.prod(s.shape[1:])) for s in stacks], axis=1
     )
 
 
@@ -466,7 +473,7 @@ def star_closure_check(phi: Superoperator, spectrum: PointSpectrum) -> StarClosu
     eigenvalue."""
     labels, values, rows = _stacked_eigenvectors(spectrum, phi.algebra)
     adjoints = _stacked_vectors(
-        [s.conj().transpose(0, 2, 1) for s in _block_stacks(phi.algebra, rows)]
+        [s.conj().swapaxes(-1, -2) for s in _block_stacks(phi.algebra, rows)]
     )
     residual = _row_drift(phi, adjoints, values.conj())
     return StarClosureReport(
@@ -576,9 +583,11 @@ def continuous_eigen_check(
     """
     if phase is None:
         phase = cmath.phase(complex(value))
+    if x.algebra != family.algebra:
+        raise AlgebraMismatch("element does not live in the family's algebra")
+    v = vectorize(x)
     worst = 0.0
     for t in ts:
         expected = cmath.exp(1j * phase * t)
-        residual = element_norm(apply(family.builder(t), x) - expected * x)
-        worst = max(worst, residual)
+        worst = max(worst, max_norm(family.builder(t).matrix @ v - expected * v))
     return worst

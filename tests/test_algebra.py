@@ -442,3 +442,30 @@ def test_every_element_that_arithmetic_builds_is_frozen(two_blocks):
             assert_frozen(part)
     with pytest.raises(ValueError):
         adjoint(x).parts[0][0, 1] = 1.0
+
+
+def test_arithmetic_that_overflows_from_finite_operands_raises(two_blocks, recwarn):
+    big = BlockAlgebra((1,)).element([[[1e200]]])
+    huge = two_blocks.element([np.full((2, 2), 1e308), np.eye(2)])
+    for overflow in (
+        lambda: big * 1e200,
+        lambda: 1e200 * big,
+        lambda: big @ big,
+        lambda: huge + huge,
+        lambda: huge - (-1.0) * huge,
+        lambda: huge @ huge,
+    ):
+        with pytest.raises(ValueError, match="overflows the float range"):
+            overflow()
+    assert (1e-200 * big).parts[0][0, 0] == 1.0
+    assert (big @ (1e-300 * big)).parts[0][0, 0] == pytest.approx(1e100)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_arithmetic_on_operands_that_are_not_finite_stays_quiet(two_blocks, recwarn):
+    nan = two_blocks._wrap([np.full((2, 2), np.nan), np.eye(2)])
+    inf = two_blocks._wrap([np.full((2, 2), np.inf), np.eye(2)])
+    for result in (nan + nan, inf - inf, inf @ nan, 2.0 * inf):
+        assert not np.isfinite(result.parts[0]).all()
+        assert np.isfinite(result.parts[1]).all()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

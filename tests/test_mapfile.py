@@ -184,14 +184,29 @@ _BOOLEANS = {
           r"map.preset.t must be a number, got True"),
     "block2-entry": ({"block2": BLOCK2 | {"a": [[True]], "b": [[0]], "c": [[0]], "d": [[1]]}},
                      r"block2.a\[0\]: .* got True"),
+    # a boolean among numbers, which numpy alone would read as 0 or 1
+    "superop-among-numbers": ({"algebra": {"blocks": [1, 1]},
+                               "map": {"superop": [[True, 0], [0, 1]]}},
+                              r"map.superop\[0\]: .* got True"),
+    "superop-among-pairs": ({"algebra": {"blocks": [1, 1]},
+                             "map": {"superop": [[[1, 0], [0, 0]], [[0, 0], [1, False]]]}},
+                            r"map.superop\[1\]: .* got \[1, False\]"),
+    "block2-among-numbers": ({"block2": BLOCK2 | {"b": [[0.5, 0], [False, 0.5]]}},
+                             r"block2.b\[1\]: .* got False"),
+    "block2-factor-among-pairs": ({"block2": BLOCK2 | {"x": [[[1, 0], [0, 0]], [[0, True], [1, 0]]],
+                                                       "y": EYE}},
+                                  r"block2.x\[1\]: .* got \[0, True\]"),
 }
 
 
 @pytest.mark.parametrize("document,message", _BOOLEANS.values(), ids=_BOOLEANS.keys())
-def test_booleans_are_not_numbers(document, message):
+def test_booleans_are_not_numbers(document, message, tmp_path):
     load = load_block2_file if "block2" in document else load_map_file
-    with pytest.raises(MapFileError, match=message):
-        load(document)
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document))
+    for source in (document, path):
+        with pytest.raises(MapFileError, match=message):
+            load(source)
 
 
 # An integer beyond the float range at each site that reads a number; numpy
