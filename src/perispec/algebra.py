@@ -14,9 +14,10 @@ and :func:`devectorize`. Elements built from perispec's own arrays go through
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -316,7 +317,8 @@ def hermitian_basis_form(algebra: BlockAlgebra, m: np.ndarray) -> tuple[np.ndarr
 def _hermitian_defects(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """For each matrix of a stack (..., n, n): the largest entry of h - h*,
     and whether it exceeds ``eq_tol`` times max(1, the largest entry of h)."""
-    defect = np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+    adjoint = np.swapaxes(h, -1, -2).conj()
+    defect = np.abs(np.subtract(h, adjoint, out=adjoint)).max(axis=(-2, -1), initial=0.0)
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1), initial=0.0))
     return defect, defect > tol.eq_tol * scale
 
@@ -339,6 +341,53 @@ def _checked_hermitian(h, tol: Tolerances) -> np.ndarray:
             f"{defect[index]:.3e}"
         )
     return h
+
+
+class _Rows:
+    """The rows of a stack that are still being decided: where each one sits
+    in the input, and the outcome of every settled row, shared by all the
+    branches split off."""
+
+    def __init__(self, index: np.ndarray, outcomes: list) -> None:
+        self.index = index
+        self.outcomes = outcomes
+
+    def settle(self, checks: list) -> np.ndarray | None:
+        """Settle every live row that fails one of ``checks``, pairs (failed,
+        error) of a mask over the live rows and a function from a row to its
+        error, with the error of the first check it fails; drop those rows.
+        Returns the mask of the rows kept, for :func:`_kept`, or None when
+        every row passes."""
+        failed = functools.reduce(np.logical_or, [mask for mask, _ in checks])
+        if not failed.any():
+            return None
+        for j in np.flatnonzero(failed):
+            error = next(error for mask, error in checks if mask[j])
+            self.outcomes[self.index[j]] = error(j)
+        keep = ~failed
+        self.index = self.index[keep]
+        return keep
+
+    def split(self, mask: np.ndarray) -> "_Rows":
+        """The rows where ``mask``, handed on to a branch; the rest stay."""
+        branch = _Rows(self.index[mask], self.outcomes)
+        self.index = self.index[~mask]
+        return branch
+
+    def finish(self, outcome: Callable[[int], object]) -> None:
+        """Settle every live row j with ``outcome(j)``."""
+        for j, i in enumerate(self.index):
+            self.outcomes[i] = outcome(j)
+
+
+def _kept(keep: np.ndarray | None, *arrays):
+    """Each per-row array, or list of them, cut to the rows of ``keep``;
+    unchanged when ``keep`` is None."""
+    if keep is None:
+        return arrays
+    return tuple(
+        [s[keep] for s in a] if isinstance(a, list) else a[keep] for a in arrays
+    )
 
 
 def _lapack(routine, *args, **kwargs):

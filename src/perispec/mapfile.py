@@ -49,8 +49,8 @@ def complex_to_pair(z: complex) -> list[float]:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=np.complex128)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    return m.view(np.float64).reshape(*m.shape, 2).tolist()
 
 
 def element_to_json(x: AlgebraElement) -> list:

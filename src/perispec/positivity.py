@@ -4,7 +4,10 @@ The Schur-complement criteria decide positive semidefiniteness of
 [[a, b], [c, d]] by reducing to the blocks, regularized by a decreasing
 epsilon schedule so that singular corners stay invertible. They are kept
 deliberately independent of :func:`oracle_psd`, the direct eigenvalue check,
-so the two routes can cross-validate each other.
+so the two routes can cross-validate each other. Each decides a stack of
+block matrices of one side in one pass, stage by stage on the rows still
+alive, and gives every matrix the verdict or typed error that a call on it
+alone gives; the one-matrix calls are one-row calls of the same code.
 
 Complete positivity of a map on a single full matrix block is decided through
 its Choi matrix, assembled with row-major tensor ordering: the (i, j) outer
@@ -17,7 +20,7 @@ time; any negative output eigenvalue it finds comes with its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +29,9 @@ from .algebra import (
     AlgebraElement,
     Tolerances,
     _devectorize,
+    _hermitian_defects,
+    _kept,
+    _Rows,
     hermitian_eig,
     hermitian_eigenvalues,
     max_norm,
@@ -36,7 +42,9 @@ from .errors import (
     DimensionMismatch,
     HypothesesViolated,
     MultiBlockUnsupported,
+    NotHermitian,
     NotPSDInput,
+    PerispecError,
 )
 from .superop import Superoperator
 
@@ -48,12 +56,17 @@ __all__ = [
     "FalsifierResult",
     "assemble",
     "oracle_psd",
+    "oracle_psd_stack",
     "criterion_epsilon",
+    "criterion_epsilon_stack",
     "criterion_epsilon_prime",
+    "criterion_epsilon_prime_stack",
     "criterion_commuting",
+    "criterion_commuting_stack",
     "corner_swap",
     "congruence",
     "offdiag_swap_under_hypotheses",
+    "offdiag_swap_stack",
     "choi_matrix",
     "complete_positivity",
     "randomized_positivity_falsifier",
@@ -68,14 +81,15 @@ _SEESAW_RTOL = 1e-12
 
 def _square(m) -> np.ndarray:
     a = np.array(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square block, got shape {a.shape}")
     return a
 
 
 @dataclass(frozen=True)
 class Block2Matrix:
-    """Four equally sized square blocks a, b, c, d of [[a, b], [c, d]]."""
+    """Four equally sized square blocks a, b, c, d of [[a, b], [c, d]], or
+    four (k, n, n) stacks of them, which hold k block matrices of side n."""
 
     a: np.ndarray
     b: np.ndarray
@@ -85,14 +99,15 @@ class Block2Matrix:
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _square(getattr(self, name)))
-        side = self.a.shape[0]
-        for name in ("b", "c", "d"):
-            if getattr(self, name).shape[0] != side:
-                raise DimensionMismatch("all four blocks must share one side length")
+        shapes = {getattr(self, name).shape for name in ("a", "b", "c", "d")}
+        if len({shape[-1] for shape in shapes}) > 1:
+            raise DimensionMismatch("all four blocks must share one side length")
+        if len(shapes) > 1:
+            raise DimensionMismatch("all four blocks must hold the same number of matrices")
 
     @property
     def side(self) -> int:
-        return self.a.shape[0]
+        return self.a.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -134,6 +149,9 @@ class PositivityVerdict:
     witness: PositivityWitness | None = None
 
 
+_PSD = PositivityVerdict(True)
+
+
 @dataclass(frozen=True)
 class FalsifierResult:
     """Outcome of seesaw positivity probing.
@@ -156,149 +174,225 @@ class FalsifierResult:
 
 
 def assemble(m: Block2Matrix) -> np.ndarray:
-    """Dense 2n x 2n matrix [[a, b], [c, d]]."""
-    return np.block([[m.a, m.b], [m.c, m.d]])
+    """Dense 2n x 2n matrix [[a, b], [c, d]], or the stack of them."""
+    n = m.side
+    out = np.empty(m.a.shape[:-2] + (2 * n, 2 * n), dtype=np.complex128)
+    out[..., :n, :n], out[..., :n, n:], out[..., n:, :n], out[..., n:, n:] = m.a, m.b, m.c, m.d
+    return out
 
 
-def _eig_verdict(w: np.ndarray, v: np.ndarray, tol: Tolerances) -> PositivityVerdict:
-    """The verdict of :func:`oracle_psd` on a matrix with eigendecomposition
-    (w, v), eigenvalues ascending."""
-    if w.size == 0 or w[0] >= -tol.psd_tol:
-        return PositivityVerdict(True)
-    witness = PositivityWitness(
-        reason=f"least eigenvalue {w[0]:.6e} below -psd_tol",
-        vector=v[:, 0],
-        quadratic_form=float(w[0]),
-    )
-    return PositivityVerdict(False, witness)
+def _adjoint(h: np.ndarray) -> np.ndarray:
+    return h.conj().swapaxes(-1, -2)
+
+
+def _norms(h: np.ndarray) -> np.ndarray:
+    """The largest entry magnitude of each matrix of a stack."""
+    return np.abs(h).max(axis=(-2, -1), initial=0.0)
+
+
+def _not_psd(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Per row of ascending eigenvalues, whether the least is below -psd_tol
+    or NaN; no eigenvalue, at side 0, passes."""
+    return ~(w[:, :1].min(axis=1, initial=0.0) >= -tol.psd_tol)
+
+
+def _failed(reason: str, w: np.ndarray, v: np.ndarray, j: int, **fields) -> PositivityVerdict:
+    """The failed verdict of :func:`oracle_psd` on row j of the
+    eigendecomposition (w, v), restated under ``reason``, in which
+    ``{oracle}`` stands for the oracle's own reason, with ``fields`` added.
+    The witness copies its vector: a view would keep the whole stack."""
+    oracle = f"least eigenvalue {w[j, 0]:.6e} below -psd_tol"
+    reason, vector = reason.format(oracle=oracle), v[j, :, 0].copy()
+    return PositivityVerdict(False, PositivityWitness(reason, vector, float(w[j, 0]), **fields))
+
+
+def _psd_rows(rows: _Rows, h: np.ndarray, tol: Tolerances, failed, *arrays) -> tuple:
+    """Decide the stack h, one matrix per live row, as :func:`oracle_psd`
+    does each alone. A row whose matrix is not Hermitian settles with the
+    error :func:`hermitian_eig` raises on it, one call decomposes the rest,
+    and a row whose matrix is not PSD settles with ``failed(j, w, v, h)``.
+    Returns the eigendecomposition and ``arrays``, per-row arrays aligned
+    with h, cut to the rows that pass."""
+    defect, asymmetric = _hermitian_defects(h, tol)
+    keep = rows.settle([(asymmetric, lambda j: NotHermitian(
+        f"matrix deviates from Hermitian by {defect[j]:.3e}"
+    ))])
+    h, *arrays = _kept(keep, h, *arrays)
+    w, v = hermitian_eig(h, tol) if len(h) else (np.empty(h.shape[:-1]), h)
+    keep = rows.settle([(_not_psd(w, tol), lambda j: failed(j, w, v, h))])
+    return _kept(keep, w, v, *arrays)
+
+
+def _stacked(m: Block2Matrix) -> tuple[_Rows, list[np.ndarray]]:
+    """The rows of m, one matrix being a stack of one, and its blocks as
+    (k, n, n) stacks."""
+    blocks = [x if x.ndim == 3 else x[None] for x in (m.a, m.b, m.c, m.d)]
+    return _Rows(np.arange(len(blocks[0])), [None] * len(blocks[0])), blocks
+
+
+def _one(outcomes: list):
+    """The outcome of a stacked call on one matrix, raised when an error."""
+    if len(outcomes) != 1:
+        raise DimensionMismatch(f"expected one block matrix, got a stack of {len(outcomes)}")
+    if isinstance(outcomes[0], PerispecError):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def _offdiag_mismatch(b: np.ndarray, c: np.ndarray, tol: Tolerances) -> tuple:
+    """Per row, the largest entry of c - b*, and whether it exceeds
+    ``eq_tol`` times max(1, the largest entry of b)."""
+    defect = _norms(c - _adjoint(b))
+    return defect, defect > tol.eq_tol * np.maximum(1.0, _norms(b))
+
+
+def _prelude(rows: _Rows, tol: Tolerances, a, b, c, d, *arrays) -> tuple:
+    """The conditions every criterion shares, in order: a PSD, d PSD, and
+    c = b*; d is decomposed only for the rows whose a passed. Returns the
+    eigendecompositions of a and d, and a, b, d and ``arrays``, all cut to
+    the rows that pass."""
+    wa, va, a, b, c, d, *arrays = _psd_rows(rows, a, tol, lambda j, w, v, h: _failed(
+        "diagonal block a not PSD: {oracle}", w, v, j
+    ), a, b, c, d, *arrays)
+    wd, vd, wa, va, a, b, c, d, *arrays = _psd_rows(rows, d, tol, lambda j, w, v, h: _failed(
+        "diagonal block d not PSD: {oracle}", w, v, j
+    ), wa, va, a, b, c, d, *arrays)
+    defect, mismatch = _offdiag_mismatch(b, c, tol)
+    keep = rows.settle([(mismatch, lambda j: PositivityVerdict(
+        False, PositivityWitness(reason=f"c differs from b* by {defect[j]:.3e}")
+    ))])
+    return _kept(keep, wa, va, wd, vd, a, b, d, *arrays)
+
+
+def oracle_psd_stack(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> list:
+    """:func:`oracle_psd` on each matrix of a stack (k, n, n): per matrix its
+    verdict, or the error the one-matrix call raises on it."""
+    h = np.asarray(m, dtype=np.complex128)
+    if h.ndim != 3 or h.shape[-1] != h.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices stacked as (k, n, n), got shape {h.shape}")
+    rows = _Rows(np.arange(len(h)), [None] * len(h))
+    _psd_rows(rows, h, tol, lambda j, w, v, h: _failed("{oracle}", w, v, j))
+    rows.finish(lambda j: _PSD)
+    return rows.outcomes
 
 
 def oracle_psd(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> PositivityVerdict:
     """Direct eigenvalue test: PSD iff the least eigenvalue is >= -psd_tol."""
-    return _eig_verdict(*hermitian_eig(m, tol), tol)
+    return _one(oracle_psd_stack(np.asarray(m)[None], tol))
 
 
-def _oracle_check(
-    eig: tuple[np.ndarray, np.ndarray], tol: Tolerances, reason: str, **fields
-) -> PositivityVerdict | None:
-    """None when :func:`oracle_psd` accepts the matrix with eigendecomposition
-    ``eig``; otherwise its verdict with the witness restated under
-    ``reason``, in which ``{oracle}`` stands for the oracle's own reason, and
-    with ``fields`` added."""
-    verdict = _eig_verdict(*eig, tol)
-    if verdict.is_psd:
-        return None
-    assert verdict.witness is not None
-    reason = reason.format(oracle=verdict.witness.reason)
-    return PositivityVerdict(False, replace(verdict.witness, reason=reason, **fields))
-
-
-def _offdiag_mismatch(m: Block2Matrix, tol: Tolerances) -> PositivityVerdict | None:
-    defect = max_norm(m.c - m.b.conj().T)
-    if defect <= tol.eq_tol * max(1.0, max_norm(m.b)):
-        return None
-    witness = PositivityWitness(reason=f"c differs from b* by {defect:.3e}")
-    return PositivityVerdict(False, witness)
-
-
-def _block_prelude(
-    m: Block2Matrix, tol: Tolerances
-) -> tuple[PositivityVerdict | None, list[tuple[np.ndarray, np.ndarray]]]:
-    """The conditions every criterion shares, in order: a PSD, d PSD, and
-    c = b*. Returns the first that fails, or None, and the eigendecompositions
-    of the corners it checked, a first; d is not looked at when a fails."""
-    eigs = []
-    for name in ("a", "d"):
-        eigs.append(hermitian_eig(getattr(m, name), tol))
-        reason = f"diagonal block {name} not PSD: {{oracle}}"
-        failed = _oracle_check(eigs[-1], tol, reason)
-        if failed is not None:
-            return failed, eigs
-    return _offdiag_mismatch(m, tol), eigs
-
-
-def _schur_family(
-    m: Block2Matrix,
-    schedule: EpsilonSchedule,
-    tol: Tolerances,
-    mirrored: bool,
-) -> PositivityVerdict:
-    """Shared body of the two epsilon criteria.
+def _schur_stack(
+    m: Block2Matrix, schedule: EpsilonSchedule, tol: Tolerances, mirrored: bool
+) -> list:
+    """Shared body of the two epsilon criteria, on each matrix of a stack.
 
     In the plain orientation the defect is d - b*(a+ + eps)^(-1) b; mirrored
     swaps the roles of the corners: a - b (d+ + eps)^(-1) b*. Here a+ is the
     corner with its eigenvalues clamped at zero: the corner has passed its
     PSD check within ``psd_tol``, and a+ + eps is positive definite for every
     eps > 0. One eigendecomposition of the corner serves its PSD check and
-    every epsilon. The defects of the schedule are built as one stack, which
-    ends before the first defect that is not finite (1 / eps overflows near
-    eps = 1e-308), and decomposed by one call; the first epsilon in schedule
-    order whose defect fails decides. When none fails before the stack ends
-    early, the verdict is undefined and :class:`ConvergenceFailure` is raised.
+    every epsilon. The defects of every row and epsilon are built as one
+    stack; a row's run ends before its first defect that is not finite (1 /
+    eps overflows near eps = 1e-308), and one call decomposes every run. The
+    first epsilon in schedule order whose defect fails decides a row. When
+    none fails before its run ends early, the row's verdict is undefined and
+    its outcome is :class:`ConvergenceFailure`.
     """
-    failed, eigs = _block_prelude(m, tol)
-    if failed is not None:
-        return failed
-    w, v = eigs[1] if mirrored else eigs[0]
-    eps = np.array(schedule.values)
+    rows, (a, b, c, d) = _stacked(m)
+    wa, va, wd, vd, a, b, d = _prelude(rows, tol, a, b, c, d)
+    if not len(a):
+        return rows.outcomes
+    w, v = (wd, vd) if mirrored else (wa, va)
+    b, bh = b[:, None], _adjoint(b)[:, None]
     with np.errstate(all="ignore"):
-        inv = (v * (1.0 / (np.maximum(w, 0.0) + eps[:, None]))[:, None, :]) @ v.conj().T
+        scale = 1.0 / (np.maximum(w, 0.0)[:, None] + np.array(schedule.values)[:, None])
+        # two buffers take every step, each to the bits of the plain expression
+        work = v[:, None] * scale[:, :, None]
+        defects = work @ _adjoint(v)[:, None]
         if mirrored:
-            defects = m.a - m.b @ inv @ m.b.conj().T
+            np.subtract(a[:, None], np.matmul(b @ defects, bh, out=work), out=defects)
         else:
-            defects = m.d - m.b.conj().T @ inv @ m.b
-        defects = 0.5 * (defects + np.swapaxes(defects, -1, -2).conj())
-    finite = np.isfinite(defects).all(axis=(-2, -1)).tolist()
-    stop = finite.index(False) if False in finite else len(finite)
-    stacked = zip(*hermitian_eig(defects[:stop], tol))
-    for epsilon, defect, eig in zip(schedule.values, defects, stacked):
-        reason = f"Schur defect not PSD at epsilon={epsilon:g}"
-        failed = _oracle_check(eig, tol, reason, epsilon=epsilon, defect=defect)
-        if failed is not None:
-            return failed
-    if stop < len(finite):
-        raise ConvergenceFailure(
-            f"Schur defect is not finite at epsilon={schedule.values[stop]!r}"
-        )
-    return PositivityVerdict(True)
+            np.subtract(d[:, None], np.matmul(bh @ defects, b, out=work), out=defects)
+        defects += np.conjugate(defects, out=work).swapaxes(-1, -2)
+        defects *= 0.5
+        del work
+    finite = np.logical_and.accumulate(np.isfinite(defects).all(axis=(-2, -1)), axis=1)
+    runs = defects.reshape(finite.size, *defects.shape[2:]) if finite.all() else defects[finite]
+    w, v = hermitian_eig(runs, tol)
+    failing = np.zeros(finite.shape, dtype=bool)
+    failing[finite] = _not_psd(w, tol)
+    slot = np.cumsum(finite).reshape(finite.shape) - 1
+    first, stop = failing.argmax(axis=1), finite.sum(axis=1)
+
+    def outcome(j: int):
+        e = first[j]
+        if failing[j, e]:
+            epsilon = schedule.values[e]
+            reason = f"Schur defect not PSD at epsilon={epsilon:g}"
+            return _failed(reason, w, v, slot[j, e], epsilon=epsilon, defect=defects[j, e].copy())
+        if stop[j] < len(schedule.values):
+            epsilon = schedule.values[stop[j]]
+            return ConvergenceFailure(f"Schur defect is not finite at epsilon={epsilon!r}")
+        return _PSD
+
+    rows.finish(outcome)
+    return rows.outcomes
+
+
+def criterion_epsilon_stack(
+    m: Block2Matrix, schedule: EpsilonSchedule = EpsilonSchedule(), tol: Tolerances = DEFAULT_TOL
+) -> list:
+    """:func:`criterion_epsilon` on each matrix of a stack: per matrix its
+    verdict, or the error the one-matrix call raises on it."""
+    return _schur_stack(m, schedule, tol, mirrored=False)
+
+
+def criterion_epsilon_prime_stack(
+    m: Block2Matrix, schedule: EpsilonSchedule = EpsilonSchedule(), tol: Tolerances = DEFAULT_TOL
+) -> list:
+    """:func:`criterion_epsilon_prime` on each matrix of a stack: per matrix
+    its verdict, or the error the one-matrix call raises on it."""
+    return _schur_stack(m, schedule, tol, mirrored=True)
 
 
 def criterion_epsilon(
-    m: Block2Matrix,
-    schedule: EpsilonSchedule = EpsilonSchedule(),
-    tol: Tolerances = DEFAULT_TOL,
+    m: Block2Matrix, schedule: EpsilonSchedule = EpsilonSchedule(), tol: Tolerances = DEFAULT_TOL
 ) -> PositivityVerdict:
     """Schur criterion: PSD iff a, d are PSD, c = b*, and every epsilon in the
     schedule leaves d - b*(a + eps)^(-1) b positive semidefinite."""
-    return _schur_family(m, schedule, tol, mirrored=False)
+    return _one(criterion_epsilon_stack(m, schedule, tol))
 
 
 def criterion_epsilon_prime(
-    m: Block2Matrix,
-    schedule: EpsilonSchedule = EpsilonSchedule(),
-    tol: Tolerances = DEFAULT_TOL,
+    m: Block2Matrix, schedule: EpsilonSchedule = EpsilonSchedule(), tol: Tolerances = DEFAULT_TOL
 ) -> PositivityVerdict:
     """Mirrored Schur criterion, regularizing d: a - b (d + eps)^(-1) b*."""
-    return _schur_family(m, schedule, tol, mirrored=True)
+    return _one(criterion_epsilon_prime_stack(m, schedule, tol))
 
 
-def criterion_commuting(
-    m: Block2Matrix, tol: Tolerances = DEFAULT_TOL
-) -> PositivityVerdict:
+def criterion_commuting_stack(m: Block2Matrix, tol: Tolerances = DEFAULT_TOL) -> list:
+    """:func:`criterion_commuting` on each matrix of a stack: per matrix its
+    verdict, or the error the one-matrix call raises on it."""
+    rows, (a, b, c, d) = _stacked(m)
+    ad = a @ d
+    defect, scale = _norms(ad - d @ a), np.maximum(1.0, _norms(a) * _norms(d))
+    keep = rows.settle([(defect > tol.eq_tol * scale, lambda j: CommutationViolated(
+        f"a and d do not commute, defect {defect[j]:.3e}"
+    ))])
+    *_, b, _, ad = _prelude(rows, tol, *_kept(keep, a, b, c, d, ad))
+    product = ad - _adjoint(b) @ b
+    product = 0.5 * (product + _adjoint(product))
+    _psd_rows(rows, product, tol, lambda j, w, v, h: _failed(
+        "a d - b* b not PSD", w, v, j, defect=h[j].copy()
+    ))
+    rows.finish(lambda j: _PSD)
+    return rows.outcomes
+
+
+def criterion_commuting(m: Block2Matrix, tol: Tolerances = DEFAULT_TOL) -> PositivityVerdict:
     """Commuting-corner criterion: with a d = d a, PSD iff a, d PSD, c = b*,
     and a d - b* b is PSD. Raises when the corners do not commute."""
-    defect = max_norm(m.a @ m.d - m.d @ m.a)
-    scale = max(1.0, max_norm(m.a) * max_norm(m.d))
-    if defect > tol.eq_tol * scale:
-        raise CommutationViolated(f"a and d do not commute, defect {defect:.3e}")
-    failed, _ = _block_prelude(m, tol)
-    if failed is not None:
-        return failed
-    product = m.a @ m.d - m.b.conj().T @ m.b
-    product = 0.5 * (product + product.conj().T)
-    eig = hermitian_eig(product, tol)
-    failed = _oracle_check(eig, tol, "a d - b* b not PSD", defect=product)
-    return PositivityVerdict(True) if failed is None else failed
+    return _one(criterion_commuting_stack(m, tol))
 
 
 def corner_swap(m: Block2Matrix) -> Block2Matrix:
@@ -307,22 +401,45 @@ def corner_swap(m: Block2Matrix) -> Block2Matrix:
 
 
 def congruence(m: Block2Matrix, x: np.ndarray, y: np.ndarray) -> Block2Matrix:
-    """Congruence by diag(x, y): [[x a x*, x b y*], [y c x*, y d y*]]."""
+    """Congruence by diag(x, y): [[x a x*, x b y*], [y c x*, y d y*]]; on a
+    stack, by one pair of factors or by a stack of pairs."""
     x = _square(x)
     y = _square(y)
-    if x.shape[0] != m.side or y.shape[0] != m.side:
+    if any(f.shape not in (m.a.shape[-2:], m.a.shape) for f in (x, y)):
         raise DimensionMismatch("congruence factors must match the block side")
-    return Block2Matrix(
-        x @ m.a @ x.conj().T,
-        x @ m.b @ y.conj().T,
-        y @ m.c @ x.conj().T,
-        y @ m.d @ y.conj().T,
+    xh, yh = _adjoint(x), _adjoint(y)
+    return Block2Matrix(x @ m.a @ xh, x @ m.b @ yh, y @ m.c @ xh, y @ m.d @ yh)
+
+
+def offdiag_swap_stack(m: Block2Matrix, tol: Tolerances = DEFAULT_TOL) -> list:
+    """:func:`offdiag_swap_under_hypotheses` on each matrix of a stack: per
+    matrix the swapped matrix, or the error the one-matrix call raises."""
+    rows, (a, b, c, d) = _stacked(m)
+    bh = _adjoint(b)
+    limit = tol.eq_tol * np.maximum.reduce([np.ones(len(a)), _norms(a), _norms(b), _norms(d)]) ** 2
+    b_normal = _norms(b @ bh - bh @ b) <= limit
+    bd_commute = _norms(b @ d - d @ b) <= limit
+    keep = rows.settle([
+        (_norms(a @ b - b @ a) > limit, lambda j: HypothesesViolated("a and b do not commute")),
+        (~(b_normal | bd_commute),
+         lambda j: HypothesesViolated("b is neither normal nor commuting with d")),
+        (_offdiag_mismatch(b, c, tol)[1],
+         lambda j: NotPSDInput("input is not of the form [[a, b], [b*, d]]")),
+    ])
+    a, b, c, d, bh = _kept(keep, a, b, c, d, bh)
+    *_, a, b, d, bh = _psd_rows(
+        rows, assemble(Block2Matrix(a, b, c, d)), tol,
+        lambda *_: NotPSDInput("input block matrix is not PSD"), a, b, d, bh,
     )
+    swapped = Block2Matrix(a, bh, b, d)
+    *_, a, bh, b, d = _psd_rows(rows, assemble(swapped), tol, lambda *_: HypothesesViolated(
+        "swapped matrix failed the PSD check; hypotheses too weak numerically"
+    ), swapped.a, swapped.b, swapped.c, swapped.d)
+    rows.finish(lambda j: Block2Matrix(a[j], bh[j], b[j], d[j]))
+    return rows.outcomes
 
 
-def offdiag_swap_under_hypotheses(
-    m: Block2Matrix, tol: Tolerances = DEFAULT_TOL
-) -> Block2Matrix:
+def offdiag_swap_under_hypotheses(m: Block2Matrix, tol: Tolerances = DEFAULT_TOL) -> Block2Matrix:
     """Swap the off-diagonal corners of a PSD input: [[a, b], [b*, d]] becomes
     [[a, b*], [b, d]].
 
@@ -330,25 +447,7 @@ def offdiag_swap_under_hypotheses(
     commutes with d; both hypotheses are verified, as is positivity of the
     input and of the result.
     """
-    scale = max(1.0, max_norm(m.a), max_norm(m.b), max_norm(m.d)) ** 2
-    if max_norm(m.a @ m.b - m.b @ m.a) > tol.eq_tol * scale:
-        raise HypothesesViolated("a and b do not commute")
-    b_normal = max_norm(m.b @ m.b.conj().T - m.b.conj().T @ m.b) <= tol.eq_tol * scale
-    bd_commute = max_norm(m.b @ m.d - m.d @ m.b) <= tol.eq_tol * scale
-    if not (b_normal or bd_commute):
-        raise HypothesesViolated("b is neither normal nor commuting with d")
-    mismatch = _offdiag_mismatch(m, tol)
-    if mismatch is not None:
-        raise NotPSDInput("input is not of the form [[a, b], [b*, d]]")
-    if not oracle_psd(assemble(m), tol).is_psd:
-        raise NotPSDInput("input block matrix is not PSD")
-    swapped = Block2Matrix(m.a, m.b.conj().T, m.b, m.d)
-    verdict = oracle_psd(assemble(swapped), tol)
-    if not verdict.is_psd:
-        raise HypothesesViolated(
-            "swapped matrix failed the PSD check; hypotheses too weak numerically"
-        )
-    return swapped
+    return _one(offdiag_swap_stack(m, tol))
 
 
 def choi_matrix(phi: Superoperator) -> np.ndarray:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,9 @@ from .algebra import (
     BlockAlgebra,
     Tolerances,
     _hermitian_defects,
+    _kept,
     _lapack,
+    _Rows,
     vectorize,
 )
 from .errors import (
@@ -107,53 +109,6 @@ Classification = CaseI | CaseII | CaseIII
 
 def case_tag(classification: Classification) -> str:
     return {CaseI: "I", CaseII: "II", CaseIII: "III"}[type(classification)]
-
-
-class _Rows:
-    """The rows of a stack that are still being classified: where each one
-    sits in the input, and the outcome of every settled row, shared by all
-    the branches split off."""
-
-    def __init__(self, index: np.ndarray, outcomes: list) -> None:
-        self.index = index
-        self.outcomes = outcomes
-
-    def settle(self, checks: list) -> np.ndarray | None:
-        """Settle every live row that fails one of ``checks``, pairs (failed,
-        error) of a mask over the live rows and a function from a row to its
-        error, with the error of the first check it fails; drop those rows.
-        Returns the mask of the rows kept, for :func:`_kept`, or None when
-        every row passes."""
-        failed = functools.reduce(np.logical_or, [mask for mask, _ in checks])
-        if not failed.any():
-            return None
-        for j in np.flatnonzero(failed):
-            error = next(error for mask, error in checks if mask[j])
-            self.outcomes[self.index[j]] = error(j)
-        keep = ~failed
-        self.index = self.index[keep]
-        return keep
-
-    def split(self, mask: np.ndarray) -> "_Rows":
-        """The rows where ``mask``, handed on to a branch; the rest stay."""
-        branch = _Rows(self.index[mask], self.outcomes)
-        self.index = self.index[~mask]
-        return branch
-
-    def finish(self, outcome: Callable[[int], Classification]) -> None:
-        """Settle every live row j with ``outcome(j)``."""
-        for j, i in enumerate(self.index):
-            self.outcomes[i] = outcome(j)
-
-
-def _kept(keep: np.ndarray | None, *arrays):
-    """Each per-row array, or element stack, cut to the rows of ``keep``;
-    unchanged when ``keep`` is None."""
-    if keep is None:
-        return arrays
-    return tuple(
-        [s[keep] for s in a] if isinstance(a, list) else a[keep] for a in arrays
-    )
 
 
 # An element stack holds one element per row, as superop._block_stacks

@@ -32,11 +32,11 @@ from .positivity import (
     complete_positivity,
     congruence,
     corner_swap,
-    criterion_commuting,
-    criterion_epsilon,
-    criterion_epsilon_prime,
-    offdiag_swap_under_hypotheses,
-    oracle_psd,
+    criterion_commuting_stack,
+    criterion_epsilon_prime_stack,
+    criterion_epsilon_stack,
+    offdiag_swap_stack,
+    oracle_psd_stack,
     randomized_positivity_falsifier,
 )
 from .presets import (
@@ -304,11 +304,50 @@ def criterion_05(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
     )
 
 
+def _by_side(trials: list[tuple], decide: Callable) -> list:
+    """The per-row outcomes of ``decide``, called once per side, smallest
+    first, on stacks of one field each of that side's trials, in trial order.
+    Each trial is dropped from ``trials`` once stacked, to free its arrays."""
+    outcomes = [None] * len(trials)
+    sides: dict[int, list[int]] = {}
+    for i, trial in enumerate(trials):
+        sides.setdefault(trial[0].shape[-1], []).append(i)
+    for side in sorted(sides):
+        stacks = [np.stack(field) for field in zip(*(trials[i] for i in sides[side]))]
+        for i in sides[side]:
+            trials[i] = None
+        for i, outcome in zip(sides[side], decide(*stacks)):
+            outcomes[i] = outcome
+        del stacks
+    return outcomes
+
+
+def _decided(outcome):
+    """A trial's outcome of a stacked call, raised when it is an error, as
+    the one-matrix call raises it."""
+    if isinstance(outcome, PerispecError):
+        raise outcome
+    return outcome
+
+
+def _is_psd(outcomes: list) -> list:
+    """Each verdict of a stacked call as its is_psd; errors stay as they are,
+    to be raised in trial order."""
+    return [v if isinstance(v, PerispecError) else v.is_psd for v in outcomes]
+
+
+def _halves(matrix: np.ndarray) -> Block2Matrix:
+    n = matrix.shape[-1] // 2
+    return Block2Matrix(
+        matrix[..., :n, :n], matrix[..., :n, n:], matrix[..., n:, :n], matrix[..., n:, n:]
+    )
+
+
 def criterion_06(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
     """Criterion/oracle agreement on seeded block matrices."""
     crit_tol = Tolerances(eq_tol=1e-9, rank_tol=1e-8, psd_tol=1e-8)
     rng = _rng(seed, 6)
-    disagreements = 0
+    trials = []
     for trial in range(1000):
         n = int(rng.integers(1, 4))
         g = _random_complex(rng, 2 * n, 2 * n)
@@ -317,15 +356,22 @@ def criterion_06(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
             w = np.linalg.eigvalsh(matrix)
             shift = float(w[0]) + 0.1 * max(1.0, float(w[-1]))
             matrix = matrix - shift * np.eye(2 * n)
-        m = Block2Matrix(
-            matrix[:n, :n], matrix[:n, n:], matrix[n:, :n], matrix[n:, n:]
+        trials.append((matrix,))
+
+    def schur(matrix):
+        m = _halves(matrix)
+        return zip(
+            _is_psd(oracle_psd_stack(matrix, crit_tol)),
+            _is_psd(criterion_epsilon_stack(m, tol=crit_tol)),
+            _is_psd(criterion_epsilon_prime_stack(m, tol=crit_tol)),
         )
-        reference = oracle_psd(assemble(m), crit_tol).is_psd
-        if criterion_epsilon(m, tol=crit_tol).is_psd != reference:
-            disagreements += 1
-        if criterion_epsilon_prime(m, tol=crit_tol).is_psd != reference:
-            disagreements += 1
-    commuting_disagreements = 0
+
+    verdicts = _by_side(trials, schur)
+    disagreements = 0
+    for reference, *criteria in verdicts:
+        reference = _decided(reference)
+        disagreements += sum(_decided(v) != reference for v in criteria)
+    trials = []
     for trial in range(500):
         n = int(rng.integers(1, 5))
         a = 0.1 + np.abs(_random_complex(rng, n)) ** 2
@@ -335,10 +381,18 @@ def criterion_06(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
                          rng.uniform(1.1, 1.5, n))
         phases = np.exp(2j * np.pi * rng.random(n))
         b = phases * np.sqrt(ratio * a * d)
-        m = Block2Matrix(np.diag(a), np.diag(b), np.diag(b.conj()), np.diag(d))
-        reference = oracle_psd(assemble(m), crit_tol).is_psd
-        if criterion_commuting(m, crit_tol).is_psd != reference:
-            commuting_disagreements += 1
+        # one array of the four blocks, to hold less per trial
+        trials.append((np.stack([np.diag(a), np.diag(b), np.diag(b.conj()), np.diag(d)]),))
+
+    def commuting(blocks):
+        m = Block2Matrix(*blocks.swapaxes(0, 1))
+        return zip(
+            _is_psd(oracle_psd_stack(assemble(m), crit_tol)),
+            _is_psd(criterion_commuting_stack(m, crit_tol)),
+        )
+
+    verdicts = _by_side(trials, commuting)
+    commuting_disagreements = sum(_decided(ref) != _decided(v) for ref, v in verdicts)
     passed = disagreements == 0 and commuting_disagreements == 0
     return CriterionResult(
         "c06",
@@ -355,21 +409,24 @@ def criterion_06(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
 def criterion_07(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
     """Positivity-preserving transformations keep seeded PSD inputs PSD."""
     rng = _rng(seed, 7)
-    worst = {"corner": np.inf, "congruence": np.inf, "offdiag": np.inf}
+    trials = []
     for _ in range(1000):
         n = int(rng.integers(1, 4))
         g = _random_complex(rng, 2 * n, 2 * n)
-        matrix = g @ g.conj().T
-        m = Block2Matrix(
-            matrix[:n, :n], matrix[:n, n:], matrix[n:, :n], matrix[n:, n:]
-        )
-        w = np.linalg.eigvalsh(assemble(corner_swap(m)))
-        worst["corner"] = min(worst["corner"], float(w[0]))
         x = _random_complex(rng, n, n)
         y = _random_complex(rng, n, n)
+        trials.append((g @ g.conj().T, x, y))
+
+    def least(matrix, x, y):
+        m = _halves(matrix)
+        corner = np.linalg.eigvalsh(assemble(corner_swap(m)))
         squeezed = assemble(congruence(m, x, y))
-        w = np.linalg.eigvalsh(0.5 * (squeezed + squeezed.conj().T))
-        worst["congruence"] = min(worst["congruence"], float(w[0]))
+        squeezed = np.linalg.eigvalsh(0.5 * (squeezed + squeezed.conj().swapaxes(-1, -2)))
+        return zip(corner[:, 0], squeezed[:, 0])
+
+    corner, squeezed = zip(*_by_side(trials, least))
+    worst = {"corner": min(corner), "congruence": min(squeezed)}
+    trials = []
     for _ in range(1000):
         n = int(rng.integers(1, 4))
         v, _ = np.linalg.qr(_random_complex(rng, n, n))
@@ -380,15 +437,19 @@ def criterion_07(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
             * np.sqrt(p * q)
             * rng.uniform(0.0, 0.9, n)
         )
-        m = Block2Matrix(
-            v @ np.diag(p) @ v.conj().T,
-            v @ np.diag(z) @ v.conj().T,
-            v @ np.diag(z.conj()) @ v.conj().T,
-            v @ np.diag(q) @ v.conj().T,
-        )
-        swapped = offdiag_swap_under_hypotheses(m, tol)
-        w = np.linalg.eigvalsh(assemble(swapped))
-        worst["offdiag"] = min(worst["offdiag"], float(w[0]))
+        trials.append((np.stack([v @ np.diag(part) @ v.conj().T for part in (p, z, z.conj(), q)]),))
+
+    def swapped_least(blocks):
+        """Per trial, the least eigenvalue of the swapped matrix, or the error."""
+        outcomes = offdiag_swap_stack(Block2Matrix(*blocks.swapaxes(0, 1)), tol)
+        done = [i for i, s in enumerate(outcomes) if not isinstance(s, PerispecError)]
+        if done:
+            least = np.linalg.eigvalsh(np.stack([assemble(outcomes[i]) for i in done]))
+            for i, w in zip(done, least[:, 0]):
+                outcomes[i] = w
+        return outcomes
+
+    worst["offdiag"] = min(map(_decided, _by_side(trials, swapped_least)))
     passed = all(v >= -1e-9 for v in worst.values())
     return CriterionResult(
         "c07",

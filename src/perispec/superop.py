@@ -142,6 +142,17 @@ class PointSpectrum:
                 return point
         return None
 
+    @cached_property
+    def _stacked(self) -> tuple[list[tuple[complex, int]], np.ndarray, np.ndarray]:
+        """The labels, eigenvalues and vectorizations of
+        :func:`_stacked_eigenvectors`, made once per spectrum and read-only."""
+        labels = [(p.value, i) for p in self.points for i in range(p.dimension)]
+        values = np.array([value for value, _ in labels], dtype=np.complex128)
+        rows = np.array([vectorize(x) for p in self.points for x in p.basis], dtype=np.complex128)
+        values.setflags(write=False)
+        rows.setflags(write=False)
+        return labels, values, rows
+
 
 @dataclass(frozen=True)
 class InvariantState:
@@ -440,12 +451,8 @@ def _stacked_eigenvectors(
 ) -> tuple[list[tuple[complex, int]], np.ndarray, np.ndarray]:
     """Every basis vector of the spectrum in order: (value, index) labels,
     eigenvalues, and vectorizations as the rows of one array."""
-    labels = [(p.value, i) for p in spectrum.points for i in range(p.dimension)]
-    values = np.array([value for value, _ in labels], dtype=np.complex128)
-    rows = np.array(
-        [vectorize(x) for p in spectrum.points for x in p.basis], dtype=np.complex128
-    ).reshape(len(labels), algebra.dim)
-    return labels, values, rows
+    labels, values, rows = spectrum._stacked
+    return list(labels), values, rows.reshape(len(labels), algebra.dim)
 
 
 def _block_stacks(algebra: BlockAlgebra, rows: np.ndarray) -> list[np.ndarray]:

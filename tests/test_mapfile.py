@@ -374,8 +374,10 @@ def _old_matrix_to_json(m):
         rng_for(44).standard_normal((3, 3)),
         np.arange(9).reshape(3, 3),
         np.array([[-0.0, 0.0], [complex(-0.0, -0.0), complex(0.0, -0.0)]]),
+        random_complex(rng_for(45), 3, 3).T,
+        random_complex(rng_for(46), 5, 5)[::2, 1::2],
     ],
-    ids=["complex", "real", "int", "signed-zeros"],
+    ids=["complex", "real", "int", "signed-zeros", "transposed", "strided"],
 )
 def test_matrix_to_json_matches_the_per_entry_encoding(matrix):
     new = matrix_to_json(matrix)

@@ -11,10 +11,12 @@ from perispec import (
     BlockAlgebra,
     CommutationViolated,
     ConvergenceFailure,
+    DimensionMismatch,
     EpsilonSchedule,
     HypothesesViolated,
     MultiBlockUnsupported,
     NotPSDInput,
+    PerispecError,
     PositivityVerdict,
     PositivityWitness,
     Superoperator,
@@ -26,15 +28,27 @@ from perispec import (
     congruence,
     corner_swap,
     criterion_commuting,
+    criterion_commuting_stack,
     criterion_epsilon,
     criterion_epsilon_prime,
+    criterion_epsilon_prime_stack,
+    criterion_epsilon_stack,
+    offdiag_swap_stack,
     offdiag_swap_under_hypotheses,
     oracle_psd,
+    oracle_psd_stack,
     randomized_positivity_falsifier,
     vectorize,
 )
 
-from conftest import from_action, random_complex, random_psd, random_unitary, rng_for
+from conftest import (
+    from_action,
+    random_complex,
+    random_hermitian,
+    random_psd,
+    random_unitary,
+    rng_for,
+)
 
 AGREEMENT_TOL = Tolerances(eq_tol=1e-9, rank_tol=1e-8, psd_tol=1e-8)
 
@@ -327,14 +341,226 @@ def test_schur_criteria_decompose_each_corner_once(mirrored, monkeypatch):
 
     monkeypatch.setattr(positivity, "hermitian_eig", counting_eig)
     rng = rng_for(13, int(mirrored))
-    a, d = random_psd(rng, 3), random_psd(rng, 3)
-    b = 0.01 * random_complex(rng, 3, 3)
+    rows = []
+    for _ in range(3):
+        a, d = random_psd(rng, 3), random_psd(rng, 3)
+        b = 0.01 * random_complex(rng, 3, 3)
+        rows.append((a, b, b.conj().T, d))
+    # a row whose corner a fails, and one whose corner d fails
+    rows.append((-np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3)))
+    rows.append((np.eye(3), np.zeros((3, 3)), np.zeros((3, 3)), -np.eye(3)))
+    m = _stack(rows)
     schedule = EpsilonSchedule((1.0, 0.1, 0.01))
+    stacked = criterion_epsilon_prime_stack if mirrored else criterion_epsilon_stack
     criterion = criterion_epsilon_prime if mirrored else criterion_epsilon
-    assert criterion(Block2Matrix(a, b, b.conj().T, d), schedule).is_psd
-    # a, d, then the defects of the whole schedule as one stack: the
-    # regularized corner is the one already decomposed for its PSD check
-    assert calls == [(3, 3), (3, 3), (len(schedule.values), 3, 3)]
+    outcomes = stacked(m, schedule)
+    assert [v.is_psd for v in outcomes] == [True, True, True, False, False]
+    # a of every row, d of the rows whose a passed, then the defects of the
+    # rows left at every epsilon as one stack: the regularized corner is the
+    # one already decomposed for its PSD check
+    s = len(schedule.values)
+    assert calls == [(5, 3, 3), (4, 3, 3), (3 * s, 3, 3)]
+    calls.clear()
+    assert criterion(Block2Matrix(*rows[0]), schedule).is_psd
+    assert calls == [(1, 3, 3), (1, 3, 3), (s, 3, 3)]
+
+
+def _outcome_key(outcome) -> tuple:
+    """Every field of one outcome of a stacked call, bit for bit: an error's
+    class and message, a swapped matrix's blocks, or a verdict's fields."""
+    if isinstance(outcome, PerispecError):
+        return (type(outcome), str(outcome))
+    if isinstance(outcome, Block2Matrix):
+        return tuple((x.shape, x.tobytes()) for x in (outcome.a, outcome.b, outcome.c, outcome.d))
+    return _bitwise_verdict(outcome)
+
+
+def _one_row(call, *args):
+    """What a one-matrix call gives: its result, or the error it raises."""
+    try:
+        return call(*args)
+    except PerispecError as exc:
+        return exc
+
+
+def _stack(rows: list) -> Block2Matrix:
+    return Block2Matrix(*(np.stack(block) for block in zip(*rows)))
+
+
+def _assert_rows_match(stacked: list, one_row) -> set:
+    """Each outcome of a stacked call equals the one-matrix call on its row;
+    returns the kinds of outcome seen, to check the mix is the one built."""
+    kinds = set()
+    for i, outcome in enumerate(stacked):
+        expected = one_row(i)
+        assert _outcome_key(outcome) == _outcome_key(expected), i
+        if isinstance(outcome, PositivityVerdict):
+            witness = outcome.witness
+            kinds.add("psd" if witness is None else witness.reason.split(" ")[0])
+        else:
+            kinds.add(type(outcome).__name__)
+    return kinds
+
+
+def _schur_rows(rng, n: int) -> list:
+    """Rows of side n with every outcome of the epsilon criteria."""
+    eye, zero = np.eye(n), np.zeros((n, n))
+    skew = (1.0 + 1j) * eye
+    # eigenvalue -1e-10 of the corner, inside psd_tol, clamps to 0: with b
+    # = 0.1 1 the defect fails at epsilon = 1e-3, with b = 1e-3 1 it passes
+    # there and overflows at 1e-310
+    singular = np.diag([-1e-10] + [1.0] * (n - 1))
+    rows = [
+        (eye, zero, zero, -eye),
+        # a fails and d is not Hermitian, in either orientation
+        (-eye, zero, zero, skew),
+        (skew, zero, zero, -eye),
+        (eye, eye, 0.5 * eye, eye),
+        (skew, zero, zero, eye),
+        (eye, zero, zero, skew),
+        (singular, 0.1 * eye, 0.1 * eye, 3.0 * eye),
+        (singular, 1e-3 * eye, 1e-3 * eye, 3.0 * eye),
+    ]
+    for k in range(8):
+        matrix = random_psd(rng, 2 * n)
+        if k % 2:
+            w = np.linalg.eigvalsh(matrix)
+            matrix -= (w[0] + 0.2 * k / 8 * max(1.0, w[-1])) * np.eye(2 * n)
+        m = _split(matrix)
+        rows.append((m.a, m.b, m.c, m.d))
+    for eps in (1.0, 1e-2, 1e-4):
+        m = _failing_at(n, 3.0 * eps, rng) if n > 1 else Block2Matrix(
+            np.zeros((1, 1)), [[np.sqrt(3.0 * eps)]], [[np.sqrt(3.0 * eps)]], eye
+        )
+        rows.append((m.a, m.b, m.c, m.d))
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_stacked_schur_criteria_match_the_one_row_calls(mirrored, n):
+    stacked = criterion_epsilon_prime_stack if mirrored else criterion_epsilon_stack
+    criterion = criterion_epsilon_prime if mirrored else criterion_epsilon
+    rows = _schur_rows(rng_for(18, int(mirrored), n), n)
+    # the mirrored criterion regularizes d: swap the corners for it
+    m = corner_swap(_stack(rows)) if mirrored else _stack(rows)
+    single = [Block2Matrix(m.a[i], m.b[i], m.c[i], m.d[i]) for i in range(len(rows))]
+    kinds = set()
+    for schedule in (EpsilonSchedule(), EpsilonSchedule((1e-3, 1e-310))):
+        kinds |= _assert_rows_match(
+            stacked(m, schedule), lambda i: _one_row(criterion, single[i], schedule)
+        )
+    assert kinds == {
+        "psd", "diagonal", "c", "Schur", "NotHermitian", "ConvergenceFailure"
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_stacked_oracle_matches_the_one_row_calls(n):
+    rng = rng_for(19, n)
+    matrices = [random_psd(rng, n), -random_psd(rng, n), random_complex(rng, n, n)]
+    matrices += [random_hermitian(rng, n) for _ in range(5)]
+    stack = np.stack(matrices)
+    kinds = _assert_rows_match(
+        oracle_psd_stack(stack, AGREEMENT_TOL),
+        lambda i: _one_row(oracle_psd, matrices[i], AGREEMENT_TOL),
+    )
+    assert kinds == {"psd", "least", "NotHermitian"}
+
+
+def test_side_zero_block_matrices_are_psd_alone_and_stacked():
+    empty, stack = np.zeros((0, 0)), np.zeros((3, 0, 0))
+    one, many = Block2Matrix(empty, empty, empty, empty), Block2Matrix(stack, stack, stack, stack)
+    for criterion in (criterion_epsilon, criterion_epsilon_prime, criterion_commuting):
+        assert criterion(one).is_psd
+    for stacked in (criterion_epsilon_stack, criterion_epsilon_prime_stack, criterion_commuting_stack):
+        assert [v.is_psd for v in stacked(many)] == [True] * 3
+    assert oracle_psd(empty).is_psd and offdiag_swap_under_hypotheses(one).side == 0
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+def test_oracle_rejects_what_is_not_one_square_matrix(shape):
+    with pytest.raises(DimensionMismatch):
+        oracle_psd(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (1, 2, 2, 2)])
+def test_stacked_oracle_rejects_what_is_not_a_stack_of_square_matrices(shape):
+    with pytest.raises(DimensionMismatch):
+        oracle_psd_stack(np.zeros(shape))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_commuting_criterion_matches_the_one_row_calls(n):
+    rng = rng_for(20, n)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    rows = [
+        (2.0 * eye, eye, eye, eye),
+        (eye, 2.0 * eye, 2.0 * eye, eye),
+        (-eye, zero, zero, eye),
+        (eye, eye, 0.5 * eye, 3.0 * eye),
+        ((1.0 + 1j) * eye, zero, zero, eye),
+    ]
+    if n > 1:
+        rows.append((np.diag(np.arange(1.0, n + 1)), zero, zero, np.ones((n, n))))
+    for _ in range(6):
+        m = _commuting_psd_block(rng, n)
+        rows.append((m.a, 2.0 * rng.random() * m.b, 2.0 * rng.random() * m.c, m.d))
+    m = _stack(rows)
+    kinds = _assert_rows_match(
+        criterion_commuting_stack(m),
+        lambda i: _one_row(criterion_commuting, Block2Matrix(*rows[i])),
+    )
+    expected = {"psd", "a", "diagonal", "c", "NotHermitian"}
+    assert kinds == expected | ({"CommutationViolated"} if n > 1 else set())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_offdiag_swap_matches_the_one_row_calls(n):
+    rng = rng_for(21, n)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    nilpotent = np.eye(n, k=1)
+    rows = [
+        (eye, 2.0 * eye, 2.0 * eye, eye),
+        (eye, eye, 0.5 * eye, eye),
+        ((1.0 + 1j) * eye + nilpotent, zero, zero, eye),
+    ]
+    if n > 1:
+        rows.append((np.diag(np.arange(1.0, n + 1)), 0.1 * nilpotent, 0.1 * nilpotent.T, eye))
+        rows.append((eye, 0.1 * nilpotent, 0.1 * nilpotent.T, np.diag(np.arange(1.0, n + 1))))
+    for _ in range(6):
+        m = _commuting_psd_block(rng, n)
+        rows.append((m.a, m.b, m.c, m.d))
+    m = _stack(rows)
+    kinds = _assert_rows_match(
+        offdiag_swap_stack(m),
+        lambda i: _one_row(offdiag_swap_under_hypotheses, Block2Matrix(*rows[i])),
+    )
+    expected = {"Block2Matrix", "NotPSDInput", "NotHermitian"}
+    assert kinds == expected | ({"HypothesesViolated"} if n > 1 else set())
+
+
+def test_stacked_transformations_act_on_each_matrix():
+    rng = rng_for(22)
+    matrices = [random_psd(rng, 4) for _ in range(5)]
+    x, y = random_complex(rng, 5, 2, 2), random_complex(rng, 5, 2, 2)
+    m = _stack([(s.a, s.b, s.c, s.d) for s in map(_split, matrices)])
+    assert np.array_equal(assemble(m), np.stack(matrices))
+    for i, matrix in enumerate(matrices):
+        single = _split(matrix)
+        assert np.array_equal(assemble(corner_swap(m))[i], assemble(corner_swap(single)))
+        assert np.array_equal(
+            assemble(congruence(m, x, y))[i], assemble(congruence(single, x[i], y[i]))
+        )
+        assert np.array_equal(
+            assemble(congruence(m, x[0], y[0]))[i], assemble(congruence(single, x[0], y[0]))
+        )
+    with pytest.raises(DimensionMismatch):
+        congruence(m, x[:3], y[:3])
+    with pytest.raises(DimensionMismatch):
+        Block2Matrix(m.a, m.b, m.c, m.d[:4])
+    with pytest.raises(DimensionMismatch):
+        criterion_epsilon(m)
 
 
 def test_mirrored_schur_criterion_checks_corner_a_first():

@@ -166,6 +166,31 @@ def test_closure_checks_over_an_empty_peripheral_spectrum(mat2, tol):
     assert jordan.vanished_count == 0
 
 
+def test_closures_and_classification_stack_the_basis_once(monkeypatch, tol):
+    # the star closure, the Jordan closure and the classification of analyze
+    # all read the basis of one spectrum as rows: it is vectorized once
+    from perispec.analysis import _classifications_entry
+
+    phi, _ = build_example2(1j)
+    spectrum = point_spectrum(phi, tol)
+    calls = []
+    real_vectorize = superop.vectorize
+
+    def counting_vectorize(x):
+        calls.append(x)
+        return real_vectorize(x)
+
+    monkeypatch.setattr(superop, "vectorize", counting_vectorize)
+    star_closure_check(phi, spectrum)
+    jordan_closure_check(phi, spectrum, tol)
+    _classifications_entry(phi, spectrum, tol)
+    assert len(calls) == sum(spectrum.dimensions) == 6
+    first = superop._stacked_eigenvectors(spectrum, phi.algebra)
+    second = superop._stacked_eigenvectors(spectrum, phi.algebra)
+    assert first[0] == second[0] and first[0] is not second[0]
+    assert not first[1].flags.writeable and not first[2].flags.writeable
+
+
 CUBE_ROOT = np.exp(2j * np.pi / 3)
 
 
