@@ -26,6 +26,7 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     NotHermitian,
+    PerispecError,
 )
 
 __all__ = [
@@ -324,22 +325,16 @@ def _hermitian_defects(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.n
 
 
 def _checked_hermitian(h, tol: Tolerances) -> np.ndarray:
-    """h as complex128, a matrix or a stack (..., n, n) of them, each checked
-    against its own scale."""
+    """h as complex128, a square matrix or a stack (..., n, n) of them, each
+    checked against its own scale."""
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim <= 2:
-        defect = max_norm(h - h.conj().T)
-        if defect > tol.eq_tol * max(1.0, max_norm(h)):
-            raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e}")
-        return h
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {h.shape}")
     defect, failed = _hermitian_defects(h, tol)
-    failed = np.argwhere(failed)
-    if failed.size:
-        index = tuple(int(i) for i in failed[0])
-        raise NotHermitian(
-            f"matrix {index} of the stack deviates from Hermitian by "
-            f"{defect[index]:.3e}"
-        )
+    if failed.any():
+        index = tuple(int(i) for i in np.argwhere(failed)[0])
+        where = f"matrix {index} of the stack" if index else "matrix"
+        raise NotHermitian(f"{where} deviates from Hermitian by {defect[index]:.3e}")
     return h
 
 
@@ -380,6 +375,14 @@ class _Rows:
             self.outcomes[i] = outcome(j)
 
 
+def _raised(outcome):
+    """A row's outcome, raised when it is an error, as the one-row call
+    raises it."""
+    if isinstance(outcome, PerispecError):
+        raise outcome
+    return outcome
+
+
 def _kept(keep: np.ndarray | None, *arrays):
     """Each per-row array, or list of them, cut to the rows of ``keep``;
     unchanged when ``keep`` is None."""
@@ -408,6 +411,7 @@ def hermitian_eig(
     Returns ascending real eigenvalues and a matrix whose columns are the
     matching orthonormal eigenvectors, stacked like the input. Each matrix of
     a stack comes out bit for bit as if decomposed alone. Raises
+    :class:`DimensionMismatch` when the input is not square, and
     :class:`NotHermitian` when an input matrix deviates from its conjugate
     transpose beyond tolerance.
     """

@@ -31,8 +31,9 @@ from .algebra import (
     _devectorize,
     _hermitian_defects,
     _kept,
+    _lapack,
+    _raised,
     _Rows,
-    hermitian_eig,
     hermitian_eigenvalues,
     max_norm,
 )
@@ -44,7 +45,6 @@ from .errors import (
     MultiBlockUnsupported,
     NotHermitian,
     NotPSDInput,
-    PerispecError,
 )
 from .superop import Superoperator
 
@@ -209,16 +209,16 @@ def _failed(reason: str, w: np.ndarray, v: np.ndarray, j: int, **fields) -> Posi
 def _psd_rows(rows: _Rows, h: np.ndarray, tol: Tolerances, failed, *arrays) -> tuple:
     """Decide the stack h, one matrix per live row, as :func:`oracle_psd`
     does each alone. A row whose matrix is not Hermitian settles with the
-    error :func:`hermitian_eig` raises on it, one call decomposes the rest,
-    and a row whose matrix is not PSD settles with ``failed(j, w, v, h)``.
-    Returns the eigendecomposition and ``arrays``, per-row arrays aligned
-    with h, cut to the rows that pass."""
+    error :func:`hermitian_eig` raises on it, one LAPACK call decomposes the
+    rest, which this check has passed, and a row whose matrix is not PSD
+    settles with ``failed(j, w, v, h)``. Returns the eigendecomposition and
+    ``arrays``, per-row arrays aligned with h, cut to the rows that pass."""
     defect, asymmetric = _hermitian_defects(h, tol)
     keep = rows.settle([(asymmetric, lambda j: NotHermitian(
         f"matrix deviates from Hermitian by {defect[j]:.3e}"
     ))])
     h, *arrays = _kept(keep, h, *arrays)
-    w, v = hermitian_eig(h, tol) if len(h) else (np.empty(h.shape[:-1]), h)
+    w, v = _lapack(np.linalg.eigh, h)
     keep = rows.settle([(_not_psd(w, tol), lambda j: failed(j, w, v, h))])
     return _kept(keep, w, v, *arrays)
 
@@ -234,9 +234,7 @@ def _one(outcomes: list):
     """The outcome of a stacked call on one matrix, raised when an error."""
     if len(outcomes) != 1:
         raise DimensionMismatch(f"expected one block matrix, got a stack of {len(outcomes)}")
-    if isinstance(outcomes[0], PerispecError):
-        raise outcomes[0]
-    return outcomes[0]
+    return _raised(outcomes[0])
 
 
 def _offdiag_mismatch(b: np.ndarray, c: np.ndarray, tol: Tolerances) -> tuple:
@@ -318,7 +316,8 @@ def _schur_stack(
         del work
     finite = np.logical_and.accumulate(np.isfinite(defects).all(axis=(-2, -1)), axis=1)
     runs = defects.reshape(finite.size, *defects.shape[2:]) if finite.all() else defects[finite]
-    w, v = hermitian_eig(runs, tol)
+    # unchecked: entry (j, i) of D + D* is the exact conjugate of entry (i, j)
+    w, v = _lapack(np.linalg.eigh, runs)
     failing = np.zeros(finite.shape, dtype=bool)
     failing[finite] = _not_psd(w, tol)
     slot = np.cumsum(finite).reshape(finite.shape) - 1
@@ -382,9 +381,11 @@ def criterion_commuting_stack(m: Block2Matrix, tol: Tolerances = DEFAULT_TOL) ->
     *_, b, _, ad = _prelude(rows, tol, *_kept(keep, a, b, c, d, ad))
     product = ad - _adjoint(b) @ b
     product = 0.5 * (product + _adjoint(product))
-    _psd_rows(rows, product, tol, lambda j, w, v, h: _failed(
-        "a d - b* b not PSD", w, v, j, defect=h[j].copy()
-    ))
+    # unchecked: entry (j, i) of P + P* is the exact conjugate of entry (i, j)
+    w, v = _lapack(np.linalg.eigh, product)
+    rows.settle([(_not_psd(w, tol), lambda j: _failed(
+        "a d - b* b not PSD", w, v, j, defect=product[j].copy()
+    ))])
     rows.finish(lambda j: _PSD)
     return rows.outcomes
 
@@ -431,10 +432,11 @@ def offdiag_swap_stack(m: Block2Matrix, tol: Tolerances = DEFAULT_TOL) -> list:
         rows, assemble(Block2Matrix(a, b, c, d)), tol,
         lambda *_: NotPSDInput("input block matrix is not PSD"), a, b, d, bh,
     )
-    swapped = Block2Matrix(a, bh, b, d)
-    *_, a, bh, b, d = _psd_rows(rows, assemble(swapped), tol, lambda *_: HypothesesViolated(
-        "swapped matrix failed the PSD check; hypotheses too weak numerically"
-    ), swapped.a, swapped.b, swapped.c, swapped.d)
+    *_, a, bh, b, d = _psd_rows(
+        rows, assemble(Block2Matrix(a, bh, b, d)), tol, lambda *_: HypothesesViolated(
+            "swapped matrix failed the PSD check; hypotheses too weak numerically"
+        ), a, bh, b, d,
+    )
     rows.finish(lambda j: Block2Matrix(a[j], bh[j], b[j], d[j]))
     return rows.outcomes
 

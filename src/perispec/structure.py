@@ -40,6 +40,7 @@ from .algebra import (
     _hermitian_defects,
     _kept,
     _lapack,
+    _raised,
     _Rows,
     vectorize,
 )
@@ -233,8 +234,7 @@ def normalize_eigenvector(
     """
     _check_algebra(phi, x)
     rows, _, xhat, _ = _normalized(phi, [value], vectorize(x)[None], tol)
-    if rows.outcomes[0] is not None:
-        raise rows.outcomes[0]
+    _raised(rows.outcomes[0])
     return _element(phi.algebra, xhat, 0)
 
 
@@ -479,9 +479,7 @@ def classify_eigenvector(
     """
     _check_algebra(phi, x)
     (outcome,) = classify_eigenvectors(phi, [value], vectorize(x)[None], tol)
-    if isinstance(outcome, PerispecError):
-        raise outcome
-    return outcome
+    return _raised(outcome)
 
 
 def reconstruct(classification: Classification) -> AlgebraElement:

@@ -169,18 +169,11 @@ class StarClosureReport:
 
     ``labels`` are the (value, index) of every basis vector of the point
     spectrum in order, and ``residual`` holds one residual per label.
-    ``entries`` derives the triples (value, index, residual) from them.
     """
 
     max_residual: float
     labels: list[tuple[complex, int]]
     residual: np.ndarray
-
-    @property
-    def entries(self) -> tuple[tuple[complex, int, float], ...]:
-        return tuple(
-            (value, i, r) for (value, i), r in zip(self.labels, self.residual.tolist())
-        )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ spaces, scalar detection."""
 
 import importlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,13 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (2, 3), (4, 2, 3)])
+@pytest.mark.parametrize("solver", [hermitian_eig, hermitian_eigenvalues])
+def test_hermitian_solvers_reject_input_that_is_not_square(solver, shape):
+    with pytest.raises(DimensionMismatch, match=re.escape(f"got shape {shape}")):
+        solver(np.zeros(shape))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])

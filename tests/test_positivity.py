@@ -33,6 +33,7 @@ from perispec import (
     criterion_epsilon_prime,
     criterion_epsilon_prime_stack,
     criterion_epsilon_stack,
+    max_norm,
     offdiag_swap_stack,
     offdiag_swap_under_hypotheses,
     oracle_psd,
@@ -333,13 +334,14 @@ def test_schur_criteria_decompose_each_corner_once(mirrored, monkeypatch):
     import perispec.positivity as positivity
 
     calls = []
-    real_eig = positivity.hermitian_eig
+    real_lapack = positivity._lapack
 
-    def counting_eig(h, tol):
+    def counting_lapack(routine, h):
+        assert routine is np.linalg.eigh
         calls.append(h.shape)
-        return real_eig(h, tol)
+        return real_lapack(routine, h)
 
-    monkeypatch.setattr(positivity, "hermitian_eig", counting_eig)
+    monkeypatch.setattr(positivity, "_lapack", counting_lapack)
     rng = rng_for(13, int(mirrored))
     rows = []
     for _ in range(3):
@@ -363,6 +365,51 @@ def test_schur_criteria_decompose_each_corner_once(mirrored, monkeypatch):
     calls.clear()
     assert criterion(Block2Matrix(*rows[0]), schedule).is_psd
     assert calls == [(1, 3, 3), (1, 3, 3), (s, 3, 3)]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+def test_symmetrized_stacks_reach_lapack_exactly_hermitian(scale, monkeypatch):
+    # the Schur defects and a d - b* b go to LAPACK without a Hermiticity
+    # check: the symmetrized D + D* is Hermitian bit for bit at any magnitude
+    import perispec.positivity as positivity
+
+    calls = []
+    real_lapack = positivity._lapack
+
+    def recording_lapack(routine, h):
+        calls.append(h)
+        return real_lapack(routine, h)
+
+    monkeypatch.setattr(positivity, "_lapack", recording_lapack)
+    rng = rng_for(16, int(np.log10(scale)) + 300)
+    root = np.sqrt(scale)
+    for n in (1, 2, 3, 4):
+        general = _stack([
+            (scale * random_psd(rng, n), b, b.conj().T, scale * random_psd(rng, n))
+            for b in (0.3 * scale * random_complex(rng, n, n) for _ in range(5))
+        ])
+        # diagonal corners commute; a d and b* b are both of order scale
+        commuting = _stack([
+            (np.diag(a), b, b.conj().T, np.diag(d))
+            for a, d, b in (
+                (root * rng.uniform(0.5, 2.0, n), root * rng.uniform(0.5, 2.0, n),
+                 0.5 * root * random_complex(rng, n, n))
+                for _ in range(5)
+            )
+        ])
+        for decide, m in (
+            (criterion_epsilon_stack, general),
+            (criterion_epsilon_prime_stack, general),
+            (criterion_commuting_stack, commuting),
+        ):
+            calls.clear()
+            decide(m)
+            # the corners a and d, which are checked, then the symmetrized stack
+            assert len(calls) == 3
+            h = calls[2]
+            assert np.array_equal(h, h.conj().swapaxes(-1, -2))
+            assert 1e-3 * scale <= max_norm(h) <= 1e3 * scale
+            assert n == 1 or np.abs(h.imag).max() > 0.0
 
 
 def _outcome_key(outcome) -> tuple:

@@ -161,7 +161,7 @@ def test_closure_checks_over_an_empty_peripheral_spectrum(mat2, tol):
     assert spectrum.points == ()
     star = star_closure_check(shrink, spectrum)
     jordan = jordan_closure_check(shrink, spectrum, tol)
-    assert star.max_residual == 0.0 and star.entries == ()
+    assert star.max_residual == 0.0 and star.labels == [] and star.residual.shape == (0,)
     assert jordan.max_residual == 0.0 and jordan.entries == ()
     assert jordan.vanished_count == 0
 
@@ -456,10 +456,11 @@ def test_batched_closure_checks_match_per_pair_loops(name, tol):
 
     star = star_closure_check(phi, spectrum)
     expected = _star_reference(phi, spectrum)
-    assert [e[:2] for e in star.entries] == [e[:2] for e in expected]
-    for got, want in zip(star.entries, expected):
-        assert abs(got[2] - want[2]) <= 1e-12
-    assert star.max_residual == max(e[2] for e in star.entries)
+    assert star.labels == [e[:2] for e in expected]
+    assert star.residual.shape == (len(expected),)
+    for got, want in zip(star.residual.tolist(), expected):
+        assert abs(got - want[2]) <= 1e-12
+    assert star.max_residual == max(star.residual.tolist())
     assert abs(star.max_residual - max(e[2] for e in expected)) <= 1e-12
 
     jordan = jordan_closure_check(phi, spectrum, tol)

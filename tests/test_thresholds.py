@@ -9,9 +9,12 @@ import pytest
 
 from perispec import (
     BlockAlgebra,
+    CaseII,
+    ProjectionMismatch,
     Superoperator,
     Tolerances,
     build_example2,
+    classify_eigenvector,
     point_spectrum,
     randomized_positivity_falsifier,
 )
@@ -56,3 +59,26 @@ def test_ex2_near_i_merges_exactly_when_two_sin_eps_is_within_merge_tol(eps):
     # points near -i and i between them
     assert spectrum.dimensions == ((1, 2, 2, 1) if merged else (1,) * 6)
     assert all(spectrum.find(v) is not None for v in values)
+
+
+# ex2 at lambda0 = i with x = alpha1 b0 + alpha2 b1, b0 and b1 the manifest's
+# canonical eigenvectors at i: x* x has the eigenvalues alpha1^2 and alpha2^2,
+# |alpha2^2 - alpha1^2| = 8.768e-3 apart. The split resolves iff that gap
+# exceeds the window 10 eq_tol; eq_tol = 8.768e-4 sits on it and is left out.
+@pytest.mark.parametrize("eq_tol", [1e-4, 5e-4, 8.6e-4, 8.8e-4, 1e-3])
+def test_ex2_split_resolves_exactly_when_its_gap_exceeds_ten_eq_tol(eq_tol):
+    alpha1 = 0.704
+    alpha2 = np.sqrt(1.0 - alpha1**2)
+    gap = abs(alpha2**2 - alpha1**2)
+    phi, manifest = build_example2(1j)
+    index = next(k for k, v in enumerate(manifest.expected_spectrum) if abs(v - 1j) <= 1e-12)
+    b0, b1 = manifest.canonical_eigenvectors[index]
+    x = alpha1 * b0 + alpha2 * b1
+    tol = Tolerances(eq_tol=eq_tol)
+    if gap > 10.0 * eq_tol:
+        result = classify_eigenvector(phi, 1j, x, tol)
+        assert isinstance(result, CaseII)
+        assert abs(result.theta - (alpha1 * alpha2) ** 2) <= 1e-12
+    else:
+        with pytest.raises(ProjectionMismatch, match=f"cannot separate .* across gap {gap:.3e}"):
+            classify_eigenvector(phi, 1j, x, tol)
