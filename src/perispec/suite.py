@@ -81,8 +81,16 @@ def _rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([seed, tag])
 
 
+def _complex(parts: np.ndarray) -> np.ndarray:
+    """real + 1j imag, from an array whose axis 0 holds real and imag."""
+    real, imag = parts
+    return real + 1j * imag
+
+
 def _random_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Complex normal draws whose real parts come from the generator before
+    their imaginary parts, both drawn by one call."""
+    return _complex(rng.standard_normal((2, *shape)))
 
 
 def _near(a: complex, b: complex, tol: float = 1e-9) -> bool:
@@ -336,6 +344,21 @@ def _halves(matrix: np.ndarray) -> Block2Matrix:
     )
 
 
+def _gram(g: np.ndarray) -> np.ndarray:
+    """g g* for each matrix of a stack."""
+    return g @ g.conj().swapaxes(-1, -2)
+
+
+def _diagonals(*parts: np.ndarray) -> np.ndarray:
+    """The (len(parts), k, n, n) stack of diagonal matrices whose diagonals
+    are the rows of the (k, n) parts."""
+    parts = np.stack(parts)
+    out = np.zeros(parts.shape + parts.shape[-1:], dtype=np.complex128)
+    i = np.arange(parts.shape[-1])
+    out[..., i, i] = parts
+    return out
+
+
 def criterion_06(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
     """Criterion/oracle agreement on seeded block matrices."""
     crit_tol = Tolerances(eq_tol=1e-9, rank_tol=1e-8, psd_tol=1e-8)
@@ -343,18 +366,23 @@ def criterion_06(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
     trials = []
     for trial in range(1000):
         n = int(rng.integers(1, 4))
-        g = _random_complex(rng, 2 * n, 2 * n)
-        matrix = g @ g.conj().T
-        if trial % 2 == 1:
-            w = np.linalg.eigvalsh(matrix)
-            shift = float(w[0]) + 0.1 * max(1.0, float(w[-1]))
-            matrix = matrix - shift * np.eye(2 * n)
-        trials.append((matrix,))
+        # g as drawn: its real parts, then its imaginary parts
+        trials.append((rng.standard_normal((2, 2 * n, 2 * n)), trial % 2 == 1))
 
-    def schur(matrix):
+    def schur(g, shifted):
+        """The three verdicts on g g*, which a shifted trial moves down until
+        its least eigenvalue is -0.1 max(1, its largest)."""
+        matrix = _gram(_complex(g.swapaxes(0, 1)))
+        w = np.linalg.eigvalsh(matrix[shifted])
+        shift = w[:, 0] + 0.1 * np.maximum(1.0, w[:, -1])
+        matrix[shifted] -= shift[:, None, None] * np.eye(matrix.shape[-1])
         m = _halves(matrix)
+        # _by_side still holds the draws: free the matrices before the criteria
+        # build their own stacks, which set this side's peak memory
+        oracle = _is_psd(oracle_psd_stack(matrix, crit_tol))
+        del matrix
         return zip(
-            _is_psd(oracle_psd_stack(matrix, crit_tol)),
+            oracle,
             _is_psd(criterion_epsilon_stack(m, tol=crit_tol)),
             _is_psd(criterion_epsilon_prime_stack(m, tol=crit_tol)),
         )
@@ -373,12 +401,10 @@ def criterion_06(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
         ratio = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 0.9, n),
                          rng.uniform(1.1, 1.5, n))
         phases = np.exp(2j * np.pi * rng.random(n))
-        b = phases * np.sqrt(ratio * a * d)
-        # one array of the four blocks, to hold less per trial
-        trials.append((np.stack([np.diag(a), np.diag(b), np.diag(b.conj()), np.diag(d)]),))
+        trials.append((a, phases * np.sqrt(ratio * a * d), d))
 
-    def commuting(blocks):
-        m = Block2Matrix(*blocks.swapaxes(0, 1))
+    def commuting(a, b, d):
+        m = Block2Matrix(*_diagonals(a, b, b.conj(), d))
         return zip(
             _is_psd(oracle_psd_stack(assemble(m), crit_tol)),
             _is_psd(criterion_commuting_stack(m, crit_tol)),
@@ -405,15 +431,16 @@ def criterion_07(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
     trials = []
     for _ in range(1000):
         n = int(rng.integers(1, 4))
-        g = _random_complex(rng, 2 * n, 2 * n)
-        x = _random_complex(rng, n, n)
-        y = _random_complex(rng, n, n)
-        trials.append((g @ g.conj().T, x, y))
+        # each factor as drawn: its real parts, then its imaginary parts
+        g = rng.standard_normal((2, 2 * n, 2 * n))
+        x = rng.standard_normal((2, n, n))
+        y = rng.standard_normal((2, n, n))
+        trials.append((g, x, y))
 
-    def least(matrix, x, y):
-        m = _halves(matrix)
+    def least(g, x, y):
+        m = _halves(_gram(_complex(g.swapaxes(0, 1))))
         corner = np.linalg.eigvalsh(assemble(corner_swap(m)))
-        squeezed = assemble(congruence(m, x, y))
+        squeezed = assemble(congruence(m, _complex(x.swapaxes(0, 1)), _complex(y.swapaxes(0, 1))))
         squeezed = np.linalg.eigvalsh(0.5 * (squeezed + squeezed.conj().swapaxes(-1, -2)))
         return zip(corner[:, 0], squeezed[:, 0])
 
@@ -422,7 +449,7 @@ def criterion_07(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
     trials = []
     for _ in range(1000):
         n = int(rng.integers(1, 4))
-        g = _random_complex(rng, n, n)
+        g = rng.standard_normal((2, n, n))
         p = rng.uniform(0.1, 2.0, n)
         q = rng.uniform(0.1, 2.0, n)
         z = (
@@ -430,21 +457,21 @@ def criterion_07(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
             * np.sqrt(p * q)
             * rng.uniform(0.0, 0.9, n)
         )
-        # one array of g and the four diagonals, to hold less per trial
-        trials.append((np.stack([g, *(np.diag(part) for part in (p, z, z.conj(), q))]),))
+        trials.append((g, p, z, q))
 
-    def swapped_least(drawn):
+    def swapped_least(g, p, z, q):
         """Per trial, the least eigenvalue of the swapped matrix, or the error;
         the blocks are v diag v* with v the unitary factor of g."""
-        v, _ = np.linalg.qr(drawn[:, 0])
-        vh = v.conj().swapaxes(-1, -2)
+        v, _ = np.linalg.qr(_complex(g.swapaxes(0, 1)))
         # the products are freed once the Block2Matrix has copied them
-        m = Block2Matrix(*(v[:, None] @ drawn[:, 1:] @ vh[:, None]).swapaxes(0, 1))
+        m = Block2Matrix(*(v @ _diagonals(p, z, z.conj(), q) @ v.conj().swapaxes(-1, -2)))
         outcomes = offdiag_swap_stack(m, tol)
         done = [i for i, s in enumerate(outcomes) if not isinstance(s, PerispecError)]
         if done:
-            least = np.linalg.eigvalsh(np.stack([assemble(outcomes[i]) for i in done]))
-            for i, w in zip(done, least[:, 0]):
+            swapped = Block2Matrix(*(
+                np.stack([getattr(outcomes[i], block) for i in done]) for block in "abcd"
+            ))
+            for i, w in zip(done, np.linalg.eigvalsh(assemble(swapped))[:, 0]):
                 outcomes[i] = w
         return outcomes
 
