@@ -57,7 +57,7 @@ def element_to_json(x: AlgebraElement) -> list:
     return [matrix_to_json(p) for p in x.parts]
 
 
-_encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+_encode = json.JSONEncoder(sort_keys=True, allow_nan=False, check_circular=False).encode
 
 
 def _render(value, indent: str) -> str:
@@ -79,7 +79,9 @@ def dump_json(document: dict) -> str:
     strings, are sorted at every depth, and NaN or infinity is rejected. Each
     object, and each list holding an object, spreads its members over
     two-space indented lines; every other value (a number, an [re, im] pair,
-    a matrix, a list of strings) sits on one line."""
+    a matrix, a list of strings) sits on one line. ``document`` must be a
+    tree: the encoder does not look for cycles, and one that contains itself
+    raises RecursionError."""
     return _render(document, "") + "\n"
 
 

@@ -182,9 +182,11 @@ class JordanClosureReport:
     eigenvalue; products below tolerance are closed vacuously.
 
     ``residual`` and ``vanished`` are indexed by ordered pairs of the basis
-    vectors named in ``labels``, as in :class:`StarClosureReport`.
-    ``entries`` derives the tuples (value1, index1, value2, index2,
-    residual, vanished) from them, in row-major order.
+    vectors named in ``labels``, as in :class:`StarClosureReport`. A
+    vanished pair's residual is not computed and reads 0.0, so
+    ``max_residual`` is the largest residual over the pairs whose product
+    does not vanish. ``entries`` derives the tuples (value1, index1, value2,
+    index2, residual, vanished) from them, in row-major order.
     """
 
     max_residual: float
@@ -491,6 +493,8 @@ def jordan_closure_check(
 
     Residuals run over ordered pairs of basis vectors. The product is
     symmetric, so each pair is computed once, one row of products at a time.
+    Only the products of a row that do not vanish are multiplied by the map;
+    a row with none vanished passes as one slice.
     """
     labels, values, rows = _stacked_eigenvectors(spectrum, phi.algebra)
     stacks = _block_stacks(phi.algebra, rows)
@@ -498,16 +502,14 @@ def jordan_closure_check(
     residual = np.zeros((count, count))
     vanished = np.zeros((count, count), dtype=bool)
     for a in range(count):
-        rest = slice(a, count)
         products = _stacked_vectors(
-            [0.5 * (s[a] @ s[rest] + s[rest] @ s[a]) for s in stacks]
+            [0.5 * (s[a] @ s[a:] + s[a:] @ s[a]) for s in stacks]
         )
-        residual[a, rest] = residual[rest, a] = _row_drift(
-            phi, products, values[a] * values[rest]
-        )
-        vanished[a, rest] = vanished[rest, a] = (
-            np.max(np.abs(products), axis=1) <= tol.eq_tol
-        )
+        gone = np.max(np.abs(products), axis=1) <= tol.eq_tol
+        vanished[a, a:] = vanished[a:, a] = gone
+        kept = ~gone if gone.any() else slice(None)
+        drift = _row_drift(phi, products[kept], values[a] * values[a:][kept])
+        residual[a, a:][kept] = residual[a:, a][kept] = drift
     return JordanClosureReport(
         max_residual=float(residual.max(initial=0.0)),
         labels=labels,

@@ -362,6 +362,18 @@ def test_dump_json_rejects_non_finite_numbers(document):
         dump_json(document)
 
 
+def test_dump_json_raises_on_a_document_that_contains_itself():
+    # the encoder does not look for cycles; the recursion limit stops one
+    loop = [1.0]
+    loop.append(loop)
+    with pytest.raises(RecursionError):
+        dump_json({"x": loop})
+    node = {}
+    node["x"] = [node]
+    with pytest.raises(RecursionError):
+        dump_json(node)
+
+
 def _old_matrix_to_json(m):
     return [[[float(complex(z).real), float(complex(z).imag)] for z in row]
             for row in np.asarray(m)]

@@ -463,15 +463,79 @@ def test_batched_closure_checks_match_per_pair_loops(name, tol):
     assert star.max_residual == max(star.residual.tolist())
     assert abs(star.max_residual - max(e[2] for e in expected)) <= 1e-12
 
+    # a vanished pair closes vacuously: its residual is not computed and
+    # reads 0.0, and the maximum runs over the pairs that do not vanish
     jordan = jordan_closure_check(phi, spectrum, tol)
     expected = _jordan_reference(phi, spectrum, tol)
     assert [e[:4] for e in jordan.entries] == [e[:4] for e in expected]
-    for got, want in zip(jordan.entries, expected):
-        assert abs(got[4] - want[4]) <= 1e-12
     assert [e[5] for e in jordan.entries] == [e[5] for e in expected]
+    for got, want in zip(jordan.entries, expected):
+        if want[5]:
+            assert got[4] == 0.0
+        else:
+            assert abs(got[4] - want[4]) <= 1e-12
     assert jordan.vanished_count == sum(1 for e in expected if e[5])
     assert jordan.max_residual == max(e[4] for e in jordan.entries)
-    assert abs(jordan.max_residual - max(e[4] for e in expected)) <= 1e-12
+    kept = [e[4] for e in expected if not e[5]]
+    assert abs(jordan.max_residual - max(kept, default=0.0)) <= 1e-12
+
+
+def _full_row_residuals(phi, spectrum, tol):
+    """Residual and vanished masks of every ordered pair, with each row's
+    products passed to ``_row_drift`` whole, vanished ones included."""
+    labels, values, rows = superop._stacked_eigenvectors(spectrum, phi.algebra)
+    stacks = superop._block_stacks(phi.algebra, rows)
+    count = len(labels)
+    residual = np.zeros((count, count))
+    vanished = np.zeros((count, count), dtype=bool)
+    for a in range(count):
+        products = superop._stacked_vectors(
+            [0.5 * (s[a] @ s[a:] + s[a:] @ s[a]) for s in stacks]
+        )
+        drift = superop._row_drift(phi, products, values[a] * values[a:])
+        residual[a, a:] = residual[a:, a] = drift
+        vanished[a, a:] = vanished[a:, a] = np.max(np.abs(products), axis=1) <= tol.eq_tol
+    return residual, vanished
+
+
+JORDAN_SKIP_CASES = {
+    "ex2-generic": lambda: build_example2(GENERIC)[0],
+    "conjugation-n5": lambda: _seeded_conjugation(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JORDAN_SKIP_CASES))
+def test_jordan_closure_skips_vanished_products_with_the_same_bits(name, tol):
+    phi = JORDAN_SKIP_CASES[name]()
+    spectrum = point_spectrum(phi, tol)
+    report = jordan_closure_check(phi, spectrum, tol)
+    full, vanished = _full_row_residuals(phi, spectrum, tol)
+    kept = ~vanished
+    assert (report.vanished == vanished).all()
+    assert 0 < report.vanished_count < vanished.size
+    assert report.residual[kept].tobytes() == full[kept].tobytes()
+    assert (report.residual[vanished] == 0.0).all()
+    assert report.max_residual == full[kept].max()
+
+
+@pytest.mark.parametrize("name", sorted(JORDAN_SKIP_CASES))
+def test_jordan_closure_multiplies_only_products_that_do_not_vanish(
+    monkeypatch, name, tol
+):
+    phi = JORDAN_SKIP_CASES[name]()
+    spectrum = point_spectrum(phi, tol)
+    received = []
+    real_row_drift = superop._row_drift
+
+    def counting_row_drift(phi, rows, values):
+        received.append(len(rows))
+        return real_row_drift(phi, rows, values)
+
+    monkeypatch.setattr(superop, "_row_drift", counting_row_drift)
+    report = jordan_closure_check(phi, spectrum, tol)
+    count = len(report.labels)
+    assert sum(received) == np.triu(~report.vanished).sum()
+    assert sum(received) < count * (count + 1) // 2
 
 
 def _greedy_clusters(values, radius):
