@@ -5,7 +5,9 @@ preset stanza naming a built-in family. Complex numbers are encoded as
 [real, imaginary] pairs; matrices as row-major nested lists of those pairs.
 Every object passes one key check that names each missing and unknown key,
 and JSON true and false are not numbers. Well-formed numeric matrices are
-converted by numpy in one pass. numpy would read a boolean among numbers as
+converted by numpy row by row: the superop of an explicit map file is read
+from its text one row at a time, each row straight into a numpy array, and
+the rows are stacked in one pass. numpy would read a boolean among numbers as
 0 or 1, so a matrix holding one, and anything else, goes through a per-entry
 parser that names the offending entry. Only a document whose text holds a t
 or an f, as true and false do, is searched for booleans; the numbers and the
@@ -18,6 +20,7 @@ an object, or a list holding one, on a single line.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,10 +126,11 @@ def _parse_complex(obj, where: str) -> complex:
 
 
 def _numeric_matrix(obj: list) -> np.ndarray | None:
-    """The matrix of an n x n nested list of numbers or of [re, im] number
-    pairs, converted in one numpy pass; None for any other input, which is
-    left to the per-entry parser and its messages. Strings, None and
-    bool-only input never pass: their dtype kind is not f or i."""
+    """The matrix of a list of n rows, each a list or a numpy array, of n
+    numbers or n [re, im] number pairs, stacked by numpy in one pass; None
+    for any other input, which is left to the per-entry parser and its
+    messages. Strings, None and bool-only input never pass: their dtype kind
+    is not f or i."""
     try:
         arr = np.asarray(obj)
     except ValueError:
@@ -161,6 +165,8 @@ def _parse_matrix(obj, where: str, booleans: bool = True) -> np.ndarray:
         return matrix
     rows = []
     for i, row in enumerate(obj):
+        if isinstance(row, np.ndarray):
+            row = row.tolist()  # a row of a file, as its numbers or pairs (see _row)
         if not isinstance(row, list) or len(row) != len(obj):
             raise MapFileError(f"{where}: row {i} does not make the matrix square")
         rows.append([_parse_complex(entry, f"{where}[{i}]") for entry in row])
@@ -220,10 +226,72 @@ def _parse_algebra(obj) -> BlockAlgebra:
     )
 
 
+_scan = json.JSONDecoder().scan_once
+_skip = json.decoder.WHITESPACE.match
+# an object key without escapes, and the colon after it
+_KEY = re.compile(r'[ \t\n\r]*"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*')
+
+
+def _row(row):
+    """A superop row as a numpy array when numpy reads it as numbers or as
+    [re, im] pairs, entries the per-entry parser never names; any other row
+    stays as parsed, so that parser's messages show it as written."""
+    if not isinstance(row, list):
+        return row
+    try:
+        arr = np.asarray(row)
+    except ValueError:  # a ragged row
+        return row
+    return arr if arr.dtype.kind in "fi" and arr.shape[1:] in ((), (2,)) else row
+
+
+def _decode(text: str, idx: int, reads) -> tuple[object, int]:
+    """The JSON value at ``idx`` of ``text`` and the index past it. A dict
+    ``reads`` reads an object key by key, each value as ``reads.get(key)``
+    says; ``_row`` reads an array item by item, each through ``_row``. What
+    the loop does not read (None, another type, an empty or malformed value,
+    a key with escapes) the C scanner reads whole from ``idx``, so malformed
+    text raises what json.loads raises."""
+    rows = reads is _row
+    opener, closer = "[]" if rows else "{}"
+    if reads is None or text[idx:idx + 1] != opener:
+        return _scan(text, idx)
+    items, end = [], idx + 1
+    while True:
+        if rows:
+            try:
+                value, end = _scan(text, _skip(text, end).end())
+            except StopIteration:
+                break
+            items.append(_row(value))
+        elif key := _KEY.match(text, end):
+            value, end = _decode(text, key.end(), reads.get(key[1]))
+            items.append((key[1], value))
+        else:
+            break
+        end = _skip(text, end).end()
+        if text[end:end + 1] == closer:
+            return (items if rows else dict(items)), end + 1
+        if text[end:end + 1] != ",":
+            break
+        end += 1
+    return _scan(text, idx)
+
+
+class _RowDecoder(json.JSONDecoder):
+    """json.loads, with the rows of map.superop read one at a time into
+    numpy arrays, so a large map never exists as one Python object tree."""
+
+    def __init__(self):
+        super().__init__()
+        self.scan_once = lambda text, idx: _decode(text, idx, {"map": {"superop": _row}})
+
+
 def _read_document(source: str | Path | dict) -> tuple[object, bool]:
     """The document, from a path or already parsed, and whether it may hold
     a JSON true or false: a parsed one may, and a text only when it holds a
-    t or an f."""
+    t or an f. Only a text without either letter has its superop rows read
+    into numpy arrays, so that _holds_boolean sees every list of the rest."""
     if isinstance(source, dict):
         return source, True
     path = Path(source)
@@ -233,7 +301,8 @@ def _read_document(source: str | Path | dict) -> tuple[object, bool]:
     # literal past Python's digit limit
     try:
         text = path.read_text()
-        return json.loads(text), "t" in text or "f" in text
+        booleans = "t" in text or "f" in text
+        return json.loads(text, cls=None if booleans else _RowDecoder), booleans
     except (OSError, ValueError) as exc:
         raise MapFileError(f"cannot parse {path}: {exc}") from exc
 

@@ -3,9 +3,12 @@ per-entry reference, error messages, and the report layout."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perispec import (
     BlockAlgebra,
@@ -14,13 +17,14 @@ from perispec import (
     build_example1,
     build_example2,
     dump_json,
+    explicit_map_dict,
     group_closure_report,
     load_block2_file,
     load_map_file,
     point_spectrum,
 )
 from perispec.analysis import analyze
-from perispec.mapfile import _numeric_matrix, _parse_matrix, matrix_to_json
+from perispec.mapfile import _numeric_matrix, _parse_matrix, _RowDecoder, matrix_to_json
 
 from conftest import random_complex, random_unitary, rng_for
 
@@ -103,10 +107,15 @@ def test_fast_path_matches_the_reference_bitwise(seed, n):
                 _parse_matrix(obj, "m")
 
 
+_DECLINED = {
+    "bools": [[True, False], [False, True]],
+    "mixed": [[1, [0.5, -0.0]], [[2, 3], -0.0]],  # scalar and pair entries in a row
+    "wide": [[2**63, 0], [0, -(2**70)]],  # beyond int64: uint64 and object arrays
+}
+
+
 def test_inputs_numpy_declines_still_parse_like_the_reference():
-    bools = [[True, False], [False, True]]
-    mixed = [[1, [0.5, -0.0]], [[2, 3], -0.0]]  # scalar and pair entries in a row
-    wide = [[2**63, 0], [0, -(2**70)]]  # beyond int64: uint64 and object arrays
+    bools, mixed, wide = _DECLINED.values()
     for obj in (bools, mixed, wide):
         assert _numeric_matrix(obj) is None
     for obj in (mixed, wide):
@@ -128,6 +137,8 @@ _BAD_MATRICES = {
     # a row mixing scalars and pairs is valid (see above); this one also
     # holds a 3-element entry
     "mixed-row-with-triple": [[1, [0, 0]], [[0, 0, 0], 0]],
+    # rows numpy reads as floats; the message still shows the ints as ints
+    "int-and-float-triples": [[[1, 2.5, 3], [0.5, 0, 0]], [[0, 0, 0], [0, 0, 0.5]]],
 }
 
 
@@ -240,6 +251,210 @@ def test_files_json_cannot_read_are_map_file_errors(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(MapFileError, match="cannot parse"):
         load_map_file(path)
+
+
+def _superop_document(obj):
+    """An explicit map file holding ``obj`` as its superop, with an algebra of
+    coefficient dimension len(obj) where that is a positive int."""
+    n = len(obj) if isinstance(obj, list) and obj else 2
+    return {"algebra": {"blocks": [1] * n}, "map": {"superop": obj}}
+
+
+def _file_forms(document):
+    """The text of ``document`` in five layouts that json.loads reads alike."""
+    pretty = json.dumps(document, indent=2)
+    algebra, stanza = (json.dumps(document[key]) for key in ("algebra", "map"))
+    return {
+        "compact": json.dumps(document, separators=(",", ":")),
+        "indent": pretty,
+        "crlf": pretty.replace("\n", "\r\n"),
+        "map-first": f'{{"map": {stanza}, "algebra": {algebra}}}',
+        # the last of two superop keys counts, as in json.loads
+        "duplicate-superop": '{"algebra": %s, "map": {"superop": [[7, 7], [7]], "superop": %s}}'
+                             % (algebra, json.dumps(document["map"]["superop"])),
+    }
+
+
+def _outcome(source):
+    """The loaded matrix, or the message it is rejected with."""
+    try:
+        return load_map_file(source).phi.matrix
+    except MapFileError as exc:
+        return str(exc)
+
+
+def _file_sourced_cases():
+    cases = {f"bad-{key}": obj for key, obj in _BAD_MATRICES.items()}
+    cases |= {f"booleans-{key}": _BOOLEANS[key][0]["map"]["superop"]
+              for key in ("superop-among-numbers", "superop-among-pairs")}
+    cases["huge-integer"] = _HUGE_INTEGERS["superop-entry"][0]["map"]["superop"]
+    cases |= {f"declined-{key}": obj for key, obj in _DECLINED.items()}
+    cases["nan"] = [[1.0, math.nan], [0.0, 1.0]]
+    for seed, n in [(0, 1), (1, 3), (2, 5), (3, 8), (4, 4), (5, 6)]:
+        re, im = _seeded_entries(seed, n)
+        cases[f"seeded-{seed}-pairs"] = [[[re[i][j], im[i][j]] for j in range(n)]
+                                         for i in range(n)]
+        cases[f"seeded-{seed}-reals"] = re
+        # the same entries with ±inf dropped, so no Infinity puts an f in the text
+        cases[f"seeded-{seed}-finite"] = [[[x if math.isfinite(x) else 2**53 + 1
+                                            for x in (re[i][j], im[i][j])]
+                                           for j in range(n)] for i in range(n)]
+    return cases
+
+
+_FILE_SOURCED = _file_sourced_cases()
+
+
+@pytest.mark.parametrize("obj", _FILE_SOURCED.values(), ids=_FILE_SOURCED.keys())
+def test_file_sources_load_like_dict_sources(obj, tmp_path):
+    document = _superop_document(obj)
+    expected = _outcome(document)
+    for form, text in _file_forms(document).items():
+        path = tmp_path / f"{form}.json"
+        path.write_text(text)
+        got = _outcome(path)
+        if isinstance(expected, str):
+            assert got == expected, form
+        else:
+            assert isinstance(got, np.ndarray) and _bits_equal(got, expected), form
+
+
+def _json_loads_message(path):
+    try:
+        json.loads(path.read_text())
+    except ValueError as exc:
+        return f"cannot parse {path}: {exc}"
+    raise AssertionError("json.loads reads the text")
+
+
+_ROWS = '[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]'
+_MALFORMED = {
+    "empty": "",
+    "whitespace": " \r\n\t ",
+    "bom": '\ufeff{"algebra": {"blocks": [2]}, "map": {"superop": %s}}' % _ROWS,
+    "trailing-data": '{"algebra": {"blocks": [2]}, "map": {"superop": %s}} {}' % _ROWS,
+    "missing-comma-between-rows": '{"algebra": {"blocks": [2]}, "map": {"superop": '
+                                  '[[1, 0, 0, 0] [0, 1, 0, 0]]}}',
+    "missing-comma-in-a-row": '{"algebra": {"blocks": [2]}, "map": {"superop": [[1, 0 0, 0]]}}',
+    "unclosed-row": '{"algebra": {"blocks": [2]}, "map": {"superop": [[1, 0, 0, 0], [0, 1',
+    "unclosed-rows": '{"algebra": {"blocks": [2]}, "map": {"superop": [[1, 0, 0, 0]',
+    "trailing-comma-in-rows": '{"algebra": {"blocks": [2]}, "map": {"superop": [[1, 0],]}}',
+    "trailing-comma-in-map": '{"algebra": {"blocks": [2]}, "map": {"superop": [[1]],}}',
+    "missing-row": '{"algebra": {"blocks": [2]}, "map": {"superop": [[1, 0], , [0, 1]]}}',
+    "missing-value": '{"algebra": {"blocks": [2]}, "map": {"superop": }}',
+    "missing-colon": '{"algebra": {"blocks": [2]}, "map" {"superop": [[1]]}}',
+    "unquoted-key": '{"algebra": {"blocks": [2]}, map: {"superop": [[1]]}}',
+    "control-character-in-a-key": '{"algebra": {"blocks": [2]}, "ma\x01p": {"superop": [[1]]}}',
+    "unterminated-key": '{"algebra": {"blocks": [2]}, "map',
+    "bad-algebra": '{"algebra": {"blocks": [2,]}, "map": {"superop": %s}}' % _ROWS,
+}
+
+
+@pytest.mark.parametrize("text", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_text_fails_where_json_loads_fails(text, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text.encode())
+    with pytest.raises(MapFileError) as info:
+        load_map_file(path)
+    assert str(info.value) == _json_loads_message(path)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"algebra": {"blocks": [1, 1]}, "map": {"superop": [[1, NaN], [0, 1]]}}',
+         "map.superop: entries must be finite"),
+        ('{"algebra": {"blocks": [1, 1]}, "map": {"superop": [[1, 0], [0, -Infinity]]}}',
+         "map.superop: entries must be finite"),
+        ('{"algebra": {"blocks": [1, 1]}, "map": {"superop": [[[1, 0], [0, 0]], '
+         '[[0, 0], [Infinity, 0]]]}}', "map.superop: entries must be finite"),
+        ("[1, 2]", "map file must be an object, got list"),
+        ('"map"', "map file must be an object, got str"),
+        ('{"algebra": {"blocks": [2]}, "map": [[1]]}', "map must be an object, got list"),
+    ],
+    ids=["nan", "infinity", "infinity-in-pairs", "list", "string", "map-list"],
+)
+def test_text_that_json_loads_reads_reaches_the_checks(text, message, tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    with pytest.raises(MapFileError) as info:
+        load_map_file(path)
+    assert str(info.value) == message
+
+
+_WHITESPACE = st.text(alphabet=" \t\r\n", max_size=3)
+_NUMBERS = st.one_of(st.integers(-(2**64), 2**64), st.floats(allow_nan=False))
+_ENTRIES = st.one_of(_NUMBERS, st.lists(_NUMBERS, min_size=2, max_size=2),
+                     st.lists(_NUMBERS, max_size=3), st.none(), st.text(max_size=2))
+
+
+def _spaced(value, draw):
+    """``value`` as JSON text with drawn whitespace around every token."""
+    def pad(token):
+        return draw(_WHITESPACE) + token + draw(_WHITESPACE)
+    if isinstance(value, dict):
+        items = [pad(json.dumps(key)) + ":" + _spaced(v, draw) for key, v in value.items()]
+    elif isinstance(value, list):
+        items = [_spaced(v, draw) for v in value]
+    else:
+        return pad(json.dumps(value))
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return pad(brackets[0] + (",".join(items) or draw(_WHITESPACE)) + brackets[1])
+
+
+def _assert_decoded_as(decoded, expected):
+    if isinstance(decoded, np.ndarray):
+        reference = np.asarray(expected)
+        assert decoded.dtype == reference.dtype and decoded.shape == reference.shape
+        assert decoded.tobytes() == reference.tobytes()
+    elif isinstance(decoded, dict):
+        assert list(decoded) == list(expected)
+        for key in decoded:
+            _assert_decoded_as(decoded[key], expected[key])
+    elif isinstance(decoded, list):
+        assert isinstance(expected, list) and len(decoded) == len(expected)
+        for d, e in zip(decoded, expected):
+            _assert_decoded_as(d, e)
+    else:
+        assert type(decoded) is type(expected) and repr(decoded) == repr(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_decoder_reads_what_json_loads_reads(data):
+    rows = st.lists(st.one_of(st.lists(_ENTRIES, max_size=4), _ENTRIES), max_size=4)
+    superop = data.draw(st.one_of(rows, _ENTRIES, st.dictionaries(st.text(max_size=2), _ENTRIES)))
+    stanza = {"superop": superop} | data.draw(st.dictionaries(st.sampled_from(["preset", "t"]),
+                                                              _ENTRIES))
+    members = {"algebra": {"blocks": [2]}, "map": stanza, "note": data.draw(_ENTRIES)}
+    order = data.draw(st.permutations(list(members)))
+    document = {key: members[key] for key in order[:data.draw(st.integers(1, 3))]}
+    text = _spaced(document, data.draw)
+    expected = json.loads(text)
+    decoded = json.loads(text, cls=_RowDecoder)
+    _assert_decoded_as(decoded, expected)
+    superop = decoded.get("map", {}).get("superop")
+    for row in superop if isinstance(superop, list) else ():
+        # only a row of numbers or of [re, im] pairs becomes an array
+        if isinstance(row, np.ndarray):
+            assert row.dtype.kind in "fi" and row.shape[1:] in ((), (2,))
+
+
+def test_a_large_explicit_map_loads_in_about_twice_its_file_size(tmp_path):
+    u = random_unitary(rng_for(47), 12)
+    phi = Superoperator(BlockAlgebra((12,)), np.kron(u, u.conj()))
+    path = tmp_path / "conj-n12.json"
+    path.write_text(dump_json(explicit_map_dict(phi)))
+    tracemalloc.start()
+    try:
+        loaded = load_map_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _bits_equal(loaded.phi.matrix, phi.matrix)
+    # reading the file holds its bytes and its text at once, about 2x its
+    # size; a tree of Python lists for the whole superop took over 4x
+    assert peak <= 2.5 * path.stat().st_size
 
 
 def _reports():
