@@ -9,9 +9,6 @@ in a ``method`` field instead of overclaiming.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
-
 import numpy as np
 
 from . import __version__
@@ -205,25 +202,27 @@ def _continuous_entry(
         entry["zero_time_note"] = family.zero_time_note
     if manifest is not None:
         ts = [float(v) for v in np.random.default_rng([seed, 202]).uniform(0.01, 5.0, 10)]
-        # every eigenvector is checked at the same times: build each map once
-        family = dataclasses.replace(family, builder=functools.lru_cache(None)(family.builder))
-        checks = []
-        for value, basis, phases in zip(
-            manifest.expected_spectrum,
-            manifest.canonical_eigenvectors,
-            manifest.continuous_phases,
-        ):
-            for index, (x, phase) in enumerate(zip(basis, phases)):
-                residual = continuous_eigen_check(family, value, x, ts, phase=phase)
-                checks.append(
-                    {
-                        "value": complex_to_pair(value),
-                        "index": index,
-                        "phase": float(phase),
-                        "max_residual": float(residual),
-                    }
-                )
-        entry["eigen_checks"] = checks
+        checks = [
+            (value, index, x, phase)
+            for value, basis, phases in zip(
+                manifest.expected_spectrum,
+                manifest.canonical_eigenvectors,
+                manifest.continuous_phases,
+            )
+            for index, (x, phase) in enumerate(zip(basis, phases))
+        ]
+        residuals = continuous_eigen_check(
+            family, [x for _, _, x, _ in checks], [phase for *_, phase in checks], ts
+        )
+        entry["eigen_checks"] = [
+            {
+                "value": complex_to_pair(value),
+                "index": index,
+                "phase": float(phase),
+                "max_residual": float(residual),
+            }
+            for (value, index, _, phase), residual in zip(checks, residuals)
+        ]
         entry["eigen_check_times"] = ts
     return entry
 

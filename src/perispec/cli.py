@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import Tolerances, vectorize
+from .algebra import DEFAULT_TOL, Tolerances, vectorize
 from .analysis import STANDARD_SAMPLES, analyze, classification_entry, tolerances_entry
 from .errors import (
     BadLambda0,
@@ -119,12 +119,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _add_tolerances(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="entrywise residual tolerance (default 1e-9)")
-    parser.add_argument("--rank-tol", type=float, default=1e-8,
-                        help="relative singular value cutoff (default 1e-8)")
-    parser.add_argument("--psd-tol", type=float, default=1e-9,
-                        help="eigenvalue nonnegativity slack (default 1e-9)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL.eq_tol,
+                        help="entrywise residual tolerance (default %(default)s)")
+    parser.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_tol,
+                        help="relative singular value cutoff (default %(default)s)")
+    parser.add_argument("--psd-tol", type=float, default=DEFAULT_TOL.psd_tol,
+                        help="eigenvalue nonnegativity slack (default %(default)s)")
 
 
 def _add_sampling(parser: argparse.ArgumentParser) -> None:

@@ -8,10 +8,10 @@ and JSON true and false are not numbers. Well-formed numeric matrices are
 converted by numpy row by row: the superop of an explicit map file is read
 from its text one row at a time, each row straight into a numpy array, and
 the rows are stacked in one pass. numpy would read a boolean among numbers as
-0 or 1, so a matrix holding one, and anything else, goes through a per-entry
-parser that names the offending entry. Only a document whose text holds a t
-or an f, as true and false do, is searched for booleans; the numbers and the
-keys of an explicit map or a block2 file hold neither letter.
+0 or 1, so every matrix is searched for one, and a matrix holding one, like
+anything else numpy cannot stack, goes through a per-entry parser that names
+the offending entry. Rows are read into numpy arrays only from a text that
+holds no t and no f, so no boolean can hide in an array row.
 All serialization is deterministic: keys are sorted, every number is a
 plain Python float, and the C JSON encoder renders every value that is not
 an object, or a list holding one, on a single line.
@@ -152,14 +152,13 @@ def _holds_boolean(obj: list) -> bool:
     )
 
 
-def _parse_matrix(obj, where: str, booleans: bool = True) -> np.ndarray:
-    """The matrix of ``obj``. Unless ``booleans`` rules out a JSON true or
-    false in it, it is searched for one, which the per-entry parser then
-    rejects."""
+def _parse_matrix(obj, where: str) -> np.ndarray:
+    """The matrix of ``obj``. A JSON true or false in it sends it to the
+    per-entry parser, which rejects it."""
     if not isinstance(obj, list) or not obj:
         raise MapFileError(f"{where}: expected a nonempty nested list")
     matrix = _numeric_matrix(obj)
-    if matrix is not None and not (booleans and _holds_boolean(obj)):
+    if matrix is not None and not _holds_boolean(obj):
         if not np.isfinite(matrix).all():
             raise MapFileError(f"{where}: entries must be finite")
         return matrix
@@ -287,13 +286,12 @@ class _RowDecoder(json.JSONDecoder):
         self.scan_once = lambda text, idx: _decode(text, idx, {"map": {"superop": _row}})
 
 
-def _read_document(source: str | Path | dict) -> tuple[object, bool]:
-    """The document, from a path or already parsed, and whether it may hold
-    a JSON true or false: a parsed one may, and a text only when it holds a
-    t or an f. Only a text without either letter has its superop rows read
-    into numpy arrays, so that _holds_boolean sees every list of the rest."""
+def _read_document(source: str | Path | dict) -> object:
+    """The document, from a path or already parsed. Only a text that holds
+    no t and no f, so no JSON true or false, has its superop rows read into
+    numpy arrays; _holds_boolean sees every list of the rest."""
     if isinstance(source, dict):
-        return source, True
+        return source
     path = Path(source)
     if not path.exists():
         raise MapFileError(f"no such file: {path}")
@@ -302,7 +300,7 @@ def _read_document(source: str | Path | dict) -> tuple[object, bool]:
     try:
         text = path.read_text()
         booleans = "t" in text or "f" in text
-        return json.loads(text, cls=None if booleans else _RowDecoder), booleans
+        return json.loads(text, cls=None if booleans else _RowDecoder)
     except (OSError, ValueError) as exc:
         raise MapFileError(f"cannot parse {path}: {exc}") from exc
 
@@ -312,7 +310,7 @@ def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMa
 
     ``t`` overrides the snapshot time of a continuous preset; every other map
     reads no t and rejects it."""
-    document, booleans = _read_document(source)
+    document = _read_document(source)
     document = _fields(document, "map file", ("map",), ("algebra",))
     stanza = _fields(document["map"], "map", optional=("superop", "preset"))
     if ("superop" in stanza) == ("preset" in stanza):
@@ -332,7 +330,7 @@ def load_map_file(source: str | Path | dict, t: float | None = None) -> LoadedMa
     if "algebra" not in document:
         raise MapFileError("an explicit superop needs an algebra entry")
     algebra = _parse_algebra(document["algebra"])
-    matrix = _parse_matrix(stanza["superop"], "map.superop", booleans)
+    matrix = _parse_matrix(stanza["superop"], "map.superop")
     if matrix.shape != (algebra.dim, algebra.dim):
         raise MapFileError(
             f"superop of shape {matrix.shape} does not fit coefficient dimension "
@@ -363,18 +361,18 @@ def load_block2_file(
     source: str | Path | dict,
 ) -> tuple[Block2Matrix, np.ndarray | None, np.ndarray | None]:
     """Load a block 2x2 matrix file, returning optional congruence factors."""
-    document, booleans = _read_document(source)
+    document = _read_document(source)
     document = _fields(document, "block2 file", ("block2",))
     stanza = _fields(document["block2"], "block2", ("a", "b", "c", "d"), ("x", "y"))
     blocks = {
-        k: _parse_matrix(stanza[k], f"block2.{k}", booleans) for k in ("a", "b", "c", "d")
+        k: _parse_matrix(stanza[k], f"block2.{k}") for k in ("a", "b", "c", "d")
     }
     try:
         m = Block2Matrix(**blocks)
     except Exception as exc:
         raise MapFileError(str(exc)) from exc
     factors = {
-        k: _parse_matrix(stanza[k], f"block2.{k}", booleans) for k in ("x", "y") if k in stanza
+        k: _parse_matrix(stanza[k], f"block2.{k}") for k in ("x", "y") if k in stanza
     }
     misfits = [f"{k} has side {len(f)}" for k, f in factors.items() if len(f) != m.side]
     if misfits:

@@ -34,7 +34,6 @@ from .algebra import (
     _lapack,
     _raised,
     _Rows,
-    hermitian_eigenvalues,
     max_norm,
 )
 from .errors import (
@@ -46,7 +45,7 @@ from .errors import (
     NotHermitian,
     NotPSDInput,
 )
-from .superop import Superoperator
+from .superop import Superoperator, _real_form
 
 __all__ = [
     "Block2Matrix",
@@ -470,12 +469,15 @@ def complete_positivity(
     phi: Superoperator, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, float, bool]:
     """Choi matrix of a single-block map, the least eigenvalue of its
-    Hermitian part, and whether that eigenvalue is >= -psd_tol, that is
-    whether the map is completely positive. Only the eigenvalues of the
-    Hermitian part are computed, not its eigenvectors."""
+    Hermitian part, and whether the map is completely positive: whether that
+    eigenvalue is >= -psd_tol and the map preserves Hermiticity within
+    ``eq_tol``, as the Choi matrix of a completely positive map is Hermitian.
+    Only the eigenvalues of the Hermitian part are computed, not its
+    eigenvectors."""
     choi = choi_matrix(phi)
-    least = float(hermitian_eigenvalues(0.5 * (choi + choi.conj().T), tol)[0])
-    return choi, least, least >= -tol.psd_tol
+    # unchecked: entry (j, i) of C + C* is the exact conjugate of entry (i, j)
+    least = float(_lapack(np.linalg.eigvalsh, 0.5 * (choi + choi.conj().T))[0])
+    return choi, least, least >= -tol.psd_tol and _real_form(phi, tol) is not None
 
 
 def _least_eigenpairs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:

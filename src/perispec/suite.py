@@ -54,13 +54,11 @@ from .structure import (
     reconstruct,
 )
 from .superop import (
-    continuous_eigen_check,
     ergodicity_check,
     group_closure_report,
     invariant_state,
     jordan_closure_check,
     point_spectrum,
-    semigroup_law_check,
     star_closure_check,
 )
 
@@ -515,9 +513,8 @@ def criterion_08(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
 def criterion_09(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
     """Continuous families: semigroup law, eigenvector winding, agreement
     with the single maps at t = 1."""
-    rng = _rng(seed, 9)
-    pairs = [(float(s), float(t)) for s, t in rng.uniform(0.01, 5.0, size=(20, 2))]
-    ts = [float(v) for v in rng.uniform(0.01, 5.0, size=10)]
+    from .analysis import _continuous_entry
+
     lam = GENERIC_LAMBDA
     configs = [
         (build_example1_continuous(lam), *build_example1(lam)),
@@ -525,18 +522,12 @@ def criterion_09(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
     ]
     worst_law = worst_eigen = worst_t1 = 0.0
     for family, phi, manifest in configs:
-        worst_law = max(worst_law, semigroup_law_check(family, pairs))
+        entry = _continuous_entry(family, manifest, 1.0, seed, tol)
+        worst_law = max(worst_law, entry["semigroup_max_residual"])
+        worst_eigen = max(
+            [worst_eigen] + [check["max_residual"] for check in entry["eigen_checks"]]
+        )
         worst_t1 = max(worst_t1, max_norm(family.builder(1.0).matrix - phi.matrix))
-        for value, basis, phases in zip(
-            manifest.expected_spectrum,
-            manifest.canonical_eigenvectors,
-            manifest.continuous_phases,
-        ):
-            for x, phase in zip(basis, phases):
-                worst_eigen = max(
-                    worst_eigen,
-                    continuous_eigen_check(family, value, x, ts, phase=phase),
-                )
     passed = worst_law <= 1e-10 and worst_eigen <= 1e-10 and worst_t1 <= 1e-12
     return CriterionResult(
         "c09",
@@ -547,8 +538,8 @@ def criterion_09(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
             "semigroup_max_residual": worst_law,
             "eigen_max_residual": worst_eigen,
             "t1_max_residual": worst_t1,
-            "pairs": len(pairs),
-            "t_grid": len(ts),
+            "pairs": entry["semigroup_pairs"],
+            "t_grid": len(entry["eigen_check_times"]),
         },
     )
 

@@ -518,9 +518,7 @@ def jordan_closure_check(
     )
 
 
-def group_closure_report(
-    spectrum: PointSpectrum, closure_tol: float = MERGE_TOL
-) -> GroupClosureReport:
+def group_closure_report(spectrum: PointSpectrum) -> GroupClosureReport:
     """Decide whether the spectral values form a multiplicative group.
 
     Unit-modulus values form a group exactly when they contain 1, are closed
@@ -535,16 +533,16 @@ def group_closure_report(
     products.real = v.real[:, None] * v.real - v.imag[:, None] * v.imag
     products.imag = v.real[:, None] * v.imag + v.imag[:, None] * v.real
     queries = np.concatenate([[1.0 + 0.0j], v.conj(), products.ravel()])
-    # every value within closure_tol of a query has its real part inside this
+    # every value within MERGE_TOL of a query has its real part inside this
     # window, widened so that rounding cannot push one out
     ordered = np.sort(v)  # by real part first
-    lo = np.searchsorted(ordered.real, queries.real - 2.0 * closure_tol, "left")
-    hi = np.searchsorted(ordered.real, queries.real + 2.0 * closure_tol, "right")
+    lo = np.searchsorted(ordered.real, queries.real - 2.0 * MERGE_TOL, "left")
+    hi = np.searchsorted(ordered.real, queries.real + 2.0 * MERGE_TOL, "right")
     present = np.zeros(len(queries), dtype=bool)
     for offset in range(int(np.max(hi - lo))):
         index = lo + offset
         inside = index < hi
-        present[inside] |= np.abs(queries[inside] - ordered[index[inside]]) <= closure_tol
+        present[inside] |= np.abs(queries[inside] - ordered[index[inside]]) <= MERGE_TOL
     has_identity = bool(present[0])
     conjugation_closed = bool(np.all(present[1 : k + 1]))
     missing_pairs = np.argwhere(~present[k + 1 :].reshape(k, k)).tolist()
@@ -572,24 +570,19 @@ def semigroup_law_check(
 
 def continuous_eigen_check(
     family: ContinuousFamily,
-    value: complex,
-    x: AlgebraElement,
+    vectors: Sequence[AlgebraElement],
+    phases: Sequence[float],
     ts: Sequence[float],
-    phase: float | None = None,
-) -> float:
-    """Largest residual of builder(t) applied to x against lambda^t x.
-
-    For unit-modulus lambda, lambda^t is exp(i t arg lambda) with the
-    principal argument in (-pi, pi]. Eigenvectors whose phase winds outside
-    the principal branch can pass the winding rate explicitly via ``phase``.
-    """
-    if phase is None:
-        phase = cmath.phase(complex(value))
-    if x.algebra != family.algebra:
+) -> list[float]:
+    """Per vector x with winding rate w, the largest residual of builder(t)
+    applied to x against exp(i w t) x over the times ``ts``. Each map is
+    built once per time and applied to every vector."""
+    if any(x.algebra != family.algebra for x in vectors):
         raise AlgebraMismatch("element does not live in the family's algebra")
-    v = vectorize(x)
-    worst = 0.0
+    rows = [vectorize(x) for x in vectors]
+    worst = [0.0] * len(rows)
     for t in ts:
-        expected = cmath.exp(1j * phase * t)
-        worst = max(worst, max_norm(family.builder(t).matrix @ v - expected * v))
+        m = family.builder(t).matrix
+        for k, (v, phase) in enumerate(zip(rows, phases, strict=True)):
+            worst[k] = max(worst[k], max_norm(m @ v - cmath.exp(1j * phase * t) * v))
     return worst

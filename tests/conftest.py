@@ -71,6 +71,19 @@ def tol() -> Tolerances:
     return Tolerances()
 
 
+def hermiticity_breaking_map() -> Superoperator:
+    """x -> x + 0.1 i (tr(x)/2 1 - x) on M2: unital, with a Choi matrix whose
+    Hermitian part is PSD, but it sends Hermitian inputs to non-Hermitian
+    outputs, so its Choi matrix is not Hermitian."""
+    algebra = BlockAlgebra((2,))
+    return from_action(
+        algebra,
+        lambda x: algebra.element(
+            [p + 0.1j * (np.trace(p) / 2 * np.eye(2) - p) for p in x.parts]
+        ),
+    )
+
+
 @pytest.fixture
 def mat2() -> BlockAlgebra:
     return BlockAlgebra((2,))

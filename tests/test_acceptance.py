@@ -245,3 +245,28 @@ def test_criterion_07_factors_each_side_at_once_with_the_same_details(seed, monk
     assert result.details == details
     _assert_same_bits(assembled, reference_assembled)
     _assert_same_bits(swap_inputs, reference_inputs)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_criterion_09_reads_the_continuous_sections_that_analyze_reports(seed):
+    from perispec import load_map_file
+    from perispec.analysis import analyze
+    from perispec.suite import GENERIC_LAMBDA
+
+    laws, eigens = [], []
+    for name in ("ex1c", "ex2c"):
+        lambda0 = [GENERIC_LAMBDA.real, GENERIC_LAMBDA.imag]
+        loaded = load_map_file({"map": {"preset": {"name": name, "lambda0": lambda0}}})
+        assert loaded.t == 1.0
+        report = analyze(
+            loaded.phi, DEFAULT_TOL, seed=seed, samples=100,
+            family=loaded.family, manifest=loaded.manifest, t=loaded.t,
+        )
+        continuous = report["continuous"]
+        laws.append(continuous["semigroup_max_residual"])
+        eigens.extend(check["max_residual"] for check in continuous["eigen_checks"])
+    details = _BY_ID["c09"](seed, SAMPLES, DEFAULT_TOL).details
+    assert details["semigroup_max_residual"] == max(laws)
+    assert details["eigen_max_residual"] == max(eigens)
+    assert details["pairs"] == 20
+    assert details["t_grid"] == 10

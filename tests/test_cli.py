@@ -5,8 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from perispec import cli, dump_json, load_map_file, max_norm, point_spectrum, vectorize
+from perispec import (
+    cli,
+    dump_json,
+    explicit_map_dict,
+    load_map_file,
+    max_norm,
+    point_spectrum,
+    vectorize,
+)
 from perispec.cli import main
+
+from conftest import hermiticity_breaking_map
 
 GENERIC = [float(np.cos(2 * np.pi / 5)), float(np.sin(2 * np.pi / 5))]
 # an integer literal beyond the float range (about 1.8e308)
@@ -186,6 +196,19 @@ def test_choi_on_single_block_map(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["completely_positive"] is False
     assert report["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-9)
+
+
+def test_choi_and_analyze_reject_a_map_that_breaks_hermiticity(tmp_path, capsys):
+    path = tmp_path / "nonhermitian.json"
+    path.write_text(dump_json(explicit_map_dict(hermiticity_breaking_map())))
+    assert main(["choi", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["min_eigenvalue"] >= -1e-9
+    assert report["completely_positive"] is False
+    assert main(["analyze", str(path), *FAST]) == 0
+    entry = json.loads(capsys.readouterr().out)["complete_positivity"]
+    assert entry["choi_min_eigenvalue"] == report["min_eigenvalue"]
+    assert entry["completely_positive"] is False
 
 
 def test_choi_rejects_multi_block_maps(tmp_path, capsys):

@@ -44,6 +44,7 @@ from perispec import (
 
 from conftest import (
     from_action,
+    hermiticity_breaking_map,
     random_complex,
     random_hermitian,
     random_psd,
@@ -773,6 +774,17 @@ def test_complete_positivity_verdicts():
     )
     assert least == pytest.approx(0.0, abs=1e-12)
     assert completely_positive
+
+
+def test_a_map_that_breaks_hermiticity_is_not_completely_positive():
+    phi = hermiticity_breaking_map()
+    choi, least, completely_positive = complete_positivity(phi)
+    assert max_norm(choi - choi.conj().T) == pytest.approx(0.2)
+    # the Hermitian part of the Choi matrix alone would pass
+    assert least >= -DEFAULT_TOL.psd_tol
+    assert not completely_positive
+    # outside eq_tol the same map passes
+    assert complete_positivity(phi, Tolerances(eq_tol=0.5))[2]
 
 
 def test_choi_matrix_rejects_multi_block_algebras():

@@ -1,5 +1,9 @@
 """Superoperators: spectra, invariant states, closures, continuous families."""
 
+import cmath
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -36,7 +40,8 @@ from perispec import (
 )
 from perispec import presets, superop
 from perispec.algebra import from_hermitian_basis, general_eig, to_hermitian_basis
-from perispec.analysis import analyze
+from perispec.mapfile import complex_to_pair
+from perispec.analysis import _continuous_entry, analyze
 from perispec.positivity import choi_matrix, complete_positivity
 from perispec.superop import PointSpectrum, SpectralPoint
 
@@ -743,7 +748,7 @@ def test_analyze_reports_whether_a_family_starts_at_the_identity(mat2, tol):
     assert "zero_time_note" not in continuous
 
 
-def test_continuous_eigen_check_uses_principal_phase_by_default():
+def test_continuous_eigen_check_passes_the_principal_rate_on_ex1():
     family = build_example1_continuous(GENERIC)
     _, manifest = build_example1(GENERIC)
     index = next(
@@ -753,7 +758,8 @@ def test_continuous_eigen_check_uses_principal_phase_by_default():
     )
     x = manifest.canonical_eigenvectors[index][0]
     ts = [0.25, 0.5, 1.0, 2.5, 4.0]
-    assert continuous_eigen_check(family, GENERIC, x, ts) < 1e-12
+    (residual,) = continuous_eigen_check(family, [x], [np.angle(GENERIC)], ts)
+    assert residual < 1e-12
 
 
 def test_continuous_eigen_check_needs_winding_phase_beyond_principal_branch():
@@ -768,8 +774,92 @@ def test_continuous_eigen_check_needs_winding_phase_beyond_principal_branch():
     winding = manifest.continuous_phases[index][0]
     ts = [0.25, 0.75, 1.5, 3.0]
     # the sector winds faster than the principal argument of its eigenvalue
-    assert continuous_eigen_check(family, -GENERIC, x, ts) > 0.1
-    assert continuous_eigen_check(family, -GENERIC, x, ts, phase=winding) < 1e-12
+    principal, wound = continuous_eigen_check(
+        family, [x, x], [np.angle(-GENERIC), winding], ts
+    )
+    assert principal > 0.1
+    assert wound < 1e-12
+
+
+def test_continuous_eigen_check_builds_each_map_once_per_time():
+    family = build_example2_continuous(GENERIC)
+    _, manifest = build_example2(GENERIC)
+    vectors = [x for basis in manifest.canonical_eigenvectors for x in basis]
+    phases = [phase for rates in manifest.continuous_phases for phase in rates]
+    assert len(vectors) == 6
+    times = []
+
+    def builder(t):
+        times.append(t)
+        return family.builder(t)
+
+    ts = [0.5, 1.25, 3.0, 4.75]
+    counted = ContinuousFamily(family.algebra, builder)
+    residuals = continuous_eigen_check(counted, vectors, phases, ts)
+    assert times == ts
+    assert len(residuals) == 6 and max(residuals) < 1e-12
+
+
+def test_continuous_eigen_check_rejects_a_vector_from_another_algebra(two_blocks):
+    family = build_example1_continuous(GENERIC)
+    x = random_element(two_blocks, rng_for(90))
+    with pytest.raises(AlgebraMismatch):
+        continuous_eigen_check(family, [x], [0.0], [1.0])
+
+
+def _eigen_checks_reference(family, manifest, seed):
+    """eigen_checks as analyze made them when each eigenvector was checked
+    alone, through a builder cache so that each map was built once."""
+    ts = [float(v) for v in np.random.default_rng([seed, 202]).uniform(0.01, 5.0, 10)]
+    builder = functools.lru_cache(None)(family.builder)
+    checks = []
+    for value, basis, phases in zip(
+        manifest.expected_spectrum,
+        manifest.canonical_eigenvectors,
+        manifest.continuous_phases,
+    ):
+        for index, (x, phase) in enumerate(zip(basis, phases)):
+            v = vectorize(x)
+            worst = 0.0
+            for t in ts:
+                expected = cmath.exp(1j * phase * t)
+                worst = max(worst, max_norm(builder(t).matrix @ v - expected * v))
+            checks.append(
+                {
+                    "value": complex_to_pair(value),
+                    "index": index,
+                    "phase": float(phase),
+                    "max_residual": float(worst),
+                }
+            )
+    return checks
+
+
+def _bits(checks):
+    return [
+        (c["value"], c["index"], c["phase"].hex(), c["max_residual"].hex())
+        for c in checks
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+@pytest.mark.parametrize(
+    "builders",
+    [
+        (build_example1_continuous, build_example1),
+        (build_example2_continuous, build_example2),
+    ],
+)
+def test_eigen_checks_keep_the_bits_of_the_per_vector_loop(builders, seed, tol):
+    build_family, build = builders
+    # angles off 0 and 180 degrees, where ex2 takes no lambda0, plus i and -i
+    lambdas = [cmath.exp(1j * math.radians(7.5 + 14.4 * k)) for k in range(25)]
+    for lam in [*lambdas, 1j, -1j]:
+        family = build_family(lam)
+        _, manifest = build(lam)
+        entry = _continuous_entry(family, manifest, 1.0, seed, tol)
+        reference = _eigen_checks_reference(family, manifest, seed)
+        assert _bits(entry["eigen_checks"]) == _bits(reference)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
