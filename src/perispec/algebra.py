@@ -40,7 +40,6 @@ __all__ = [
     "devectorize",
     "adjoint",
     "hermitian_eig",
-    "hermitian_eigenvalues",
     "to_hermitian_basis",
     "from_hermitian_basis",
     "hermitian_basis_form",
@@ -416,13 +415,6 @@ def hermitian_eig(
     transpose beyond tolerance.
     """
     return _lapack(np.linalg.eigh, _checked_hermitian(h, tol))
-
-
-def hermitian_eigenvalues(h: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
-    stack, without the eigenvectors, which LAPACK computes several times
-    faster at large sizes. The input is checked as in :func:`hermitian_eig`."""
-    return _lapack(np.linalg.eigvalsh, _checked_hermitian(h, tol))
 
 
 def _lapack_input(m) -> np.ndarray:

@@ -117,9 +117,11 @@ def _complete_positivity_entry(phi: Superoperator, tol: Tolerances) -> dict:
     }
 
 
-def _invariant_state_entry(phi: Superoperator, tol: Tolerances) -> dict:
+def _invariant_state_entry(
+    phi: Superoperator, spectrum: PointSpectrum, tol: Tolerances
+) -> dict:
     try:
-        state = invariant_state(phi, tol)
+        state = invariant_state(phi, tol, spectrum)
     except PerispecError as exc:
         return {"error": type(exc).__name__, "message": str(exc)}
     return {"blocks": element_to_json(state.rho), "faithful": bool(state.faithful)}
@@ -248,7 +250,7 @@ def analyze(
         "positivity": _positivity_entry(phi, samples, seed, tol),
         "complete_positivity": _complete_positivity_entry(phi, tol),
         "ergodic": bool(ergodicity_check(phi, tol, spectrum)),
-        "invariant_state": _invariant_state_entry(phi, tol),
+        "invariant_state": _invariant_state_entry(phi, spectrum, tol),
         "point_spectrum": _spectrum_entry(spectrum),
         "group_closure": _group_entry(spectrum),
         "eigenspace_closure": _closure_entry(phi, spectrum, tol),

@@ -175,8 +175,9 @@ def criterion_03(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
     for k in range(1, 9):
         lam = cmath.exp(2j * cmath.pi * k / 9.0)
         phi, _ = build_example1(lam)
-        all_ergodic = all_ergodic and ergodicity_check(phi, tol)
-        state = invariant_state(phi, tol)
+        spectrum = point_spectrum(phi, tol)
+        all_ergodic = all_ergodic and ergodicity_check(phi, tol, spectrum)
+        state = invariant_state(phi, tol, spectrum)
         all_faithful = all_faithful and state.faithful
         worst["state_deviation"] = max(
             worst["state_deviation"],

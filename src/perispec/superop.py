@@ -10,6 +10,7 @@ adjoint, the symmetrized product, and products of eigenvalues.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .algebra import (
     _as_square_matrix,
     _devectorize,
     _frozen,
-    adjoint,
+    _lapack,
     column_space,
     element_norm,
     from_hermitian_basis,
@@ -36,6 +37,7 @@ from .algebra import (
     max_norm,
     null_space,
     scalar_multiple_of_identity,
+    to_hermitian_basis,
     vectorize,
 )
 from .errors import (
@@ -387,48 +389,112 @@ def ergodicity_check(
     return scalar_multiple_of_identity(fixed.basis[0], tol) is not None
 
 
+# How far above 1 the inverse iteration of invariant_state shifts: far below
+# MERGE_TOL, and a power of two, so that 1 + shift is exact.
+_DUAL_SHIFT = 2.0**-33
+
+
+@functools.lru_cache(maxsize=16)
+def _extra_starts(d: int) -> np.ndarray:
+    """The two extra starts of :func:`invariant_state`, sin(j) and sin(2 j)
+    for j = 1 .. d as columns: fixed and dense. Made once per d, read-only."""
+    extra = np.sin(np.outer(np.arange(1, d + 1), (1.0, 2.0)))
+    extra.setflags(write=False)
+    return extra
+
+
+def _dual_fixed_space(dual: np.ndarray, starts: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of ``dual`` - id, found by
+    inverse iteration from the columns of ``starts``.
+
+    Two solves with (dual - (1 + shift) id) turn the starts towards the
+    eigenvectors of ``dual`` at and near 1, and the left singular vectors of
+    the result make them an orthonormal Q. A thin SVD of (dual - id) Q keeps
+    the directions of Q whose singular value is at most ``rank_tol`` times
+    the largest column norm of dual - id, a lower bound on its largest
+    singular value. So by interlacing the kernel found is no larger than the
+    one that :func:`~perispec.algebra.null_space` of dual - id finds. Every
+    decomposition is d x m for m starts, not d x d.
+    """
+    shifted = np.array(dual)
+    shifted.flat[:: len(dual) + 1] -= 1.0 + _DUAL_SHIFT
+    y = _lapack(np.linalg.solve, shifted, _lapack(np.linalg.solve, shifted, starts))
+    q = _lapack(np.linalg.svd, y, full_matrices=False)[0]
+    _, s, vh = _lapack(np.linalg.svd, shifted @ q + _DUAL_SHIFT * q, full_matrices=False)
+    column_norm = math.sqrt(float(np.max(np.sum(np.abs(shifted) ** 2, axis=0))))
+    lower = max(column_norm - _DUAL_SHIFT, 0.0)
+    return q @ vh[s <= tol.rank_tol * lower].conj().T
+
+
 def invariant_state(
-    phi: Superoperator, tol: Tolerances = DEFAULT_TOL
+    phi: Superoperator,
+    tol: Tolerances = DEFAULT_TOL,
+    spectrum: PointSpectrum | None = None,
 ) -> InvariantState:
     """Positive trace-one fixed point of the dual map.
 
-    The dual acts by the conjugate transpose of the matrix. The candidate is
-    the orthogonal projection of the maximally mixed state onto the dual
-    fixed space, which is again a fixed point; it is then verified against
-    the map's matrix to be Hermitian, fixed, positive semidefinite, and of
-    unit trace. For a map that preserves Hermiticity within ``eq_tol`` the
-    dual fixed space is found in the Hermitian basis, where the dual's matrix
-    is the transpose of the real form: a real SVD with the same singular
-    values, since the change of basis is unitary.
+    The dual acts by the conjugate transpose of the matrix. Its fixed space
+    has the dimension k of the spectrum's point at 1, which ``spectrum``
+    gives, or :func:`point_spectrum` with ``tol`` when it is None. k = 0
+    raises at once. Otherwise :func:`_dual_fixed_space` finds the space from
+    the point's basis and two fixed extra columns. The left and right
+    eigenspaces of a semisimple eigenvalue pair nonsingularly, so the basis
+    reaches every dual fixed direction. Two solves damp a dual eigenvector
+    at 1 - delta only by about (delta / shift)^2, so from the basis alone
+    one just off 1 stays mixed into the fixed directions; the extra columns
+    give it directions of its own, which the rank rule then leaves out,
+    also when the spectrum folds it into its point at 1, so k is not
+    trusted as the dimension. For a map that preserves Hermiticity
+    within ``eq_tol`` this runs in the Hermitian basis, where the dual's
+    matrix is the transpose of the real form, with the real and imaginary
+    parts of the basis's coordinates as starts.
+
+    The candidate is the orthogonal projection of the maximally mixed state
+    onto the dual fixed space, which is again a fixed point; it is then
+    verified against the map's matrix to be Hermitian, fixed, positive
+    semidefinite, and of unit trace.
     """
-    d = phi.algebra.dim
-    mixed = vectorize(phi.algebra.scalar(1.0 / phi.algebra.total_size))
+    if spectrum is None:
+        spectrum = point_spectrum(phi, tol)
+    fixed = spectrum.find(1.0 + 0.0j)
+    if fixed is None:
+        raise NoPositiveFixedState("the dual map has no fixed point")
+    algebra = phi.algebra
+    # the vectorization of the maximally mixed state
+    mixed = np.concatenate([np.eye(n).reshape(-1) for n in algebra.blocks])
+    mixed *= 1.0 / algebra.total_size
+    basis = np.array([vectorize(x) for x in fixed.basis]).T
+    extra = _extra_starts(algebra.dim)
     real = _real_form(phi, tol)
     if real is None:
-        kernel = null_space(phi.matrix.conj().T - np.eye(d), tol)
+        dual, starts = phi.matrix.conj().T, [basis, extra]
     else:
-        kernel = null_space(real.T - np.eye(d), tol)
+        coordinates = to_hermitian_basis(algebra, basis)
+        dual, starts = real.T, [coordinates.real, coordinates.imag, extra]
         # a multiple of the identity has the same coordinates in both bases
         mixed = mixed.real
-    if not kernel:
+    kernel = _dual_fixed_space(dual, np.concatenate(starts, axis=1), tol)
+    if kernel.shape[1] == 0:
         raise NoPositiveFixedState("the dual map has no fixed point")
-    projected = sum(np.vdot(vec, mixed) * vec for vec in kernel)
+    projected = kernel @ (kernel.conj().T @ mixed)
     if real is not None:
-        projected = from_hermitian_basis(phi.algebra, projected)
-    candidate = _devectorize(phi.algebra, projected)
-    herm_defect = element_norm(candidate - adjoint(candidate))
+        projected = from_hermitian_basis(algebra, projected)
+    # the checks run on plain arrays: no entry exceeds 1 / eq_tol, so none
+    # needs the overflow check of element arithmetic
+    parts = _devectorize(algebra, projected).parts
+    herm_defect = max(max_norm(p - p.conj().T) for p in parts)
     if herm_defect > tol.eq_tol:
         raise NoPositiveFixedState(
             f"projected fixed point is not Hermitian (defect {herm_defect:.3e})"
         )
-    candidate = 0.5 * (candidate + adjoint(candidate))
-    trace = candidate.trace()
+    parts = [0.5 * (p + p.conj().T) for p in parts]
+    trace = complex(sum(np.trace(p) for p in parts))
     if abs(trace) <= tol.eq_tol:
         raise NoPositiveFixedState("projected fixed point has vanishing trace")
-    rho = (1.0 / trace) * candidate
-    fixed_residual = element_norm(
-        _devectorize(phi.algebra, phi.matrix.conj().T @ vectorize(rho)) - rho
-    )
+    rho = algebra._wrap([(1.0 / trace) * p for p in parts])
+    state = vectorize(rho)
+    # the dual applied as (state* M)*, without a conjugate copy of M
+    fixed_residual = max_norm((state.conj() @ phi.matrix).conj() - state)
     if fixed_residual > max(tol.eq_tol, 10.0 * tol.rank_tol):
         raise NoPositiveFixedState(
             f"candidate drifts under the dual map by {fixed_residual:.3e}"

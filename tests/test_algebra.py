@@ -31,7 +31,6 @@ from perispec.algebra import (
     from_hermitian_basis,
     general_eig,
     hermitian_basis_form,
-    hermitian_eigenvalues,
     to_hermitian_basis,
 )
 
@@ -138,15 +137,18 @@ def test_hermitian_eig_reconstructs_seeded_inputs(n):
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotHermitian):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # a complex defect, 1 - (-1j)* = 1 + 1j away from Hermitian, word for word
+    with pytest.raises(NotHermitian) as raised:
+        hermitian_eig(np.array([[0.0, 1.0], [-1j, 0.0]]))
+    assert str(raised.value) == "matrix deviates from Hermitian by 1.414e+00"
 
 
-@pytest.mark.parametrize("shape", [(), (2,), (2, 3), (4, 2, 3)])
-@pytest.mark.parametrize("solver", [hermitian_eig, hermitian_eigenvalues])
-def test_hermitian_solvers_reject_input_that_is_not_square(solver, shape):
+@pytest.mark.parametrize(
+    "shape", [(), (2,), (2, 3), (4, 2, 3), (1, 2), (3, 2, 1), (2, 2, 2, 3)]
+)
+def test_hermitian_eig_rejects_input_that_is_not_square(shape):
     with pytest.raises(DimensionMismatch, match=re.escape(f"got shape {shape}")):
-        solver(np.zeros(shape))
+        hermitian_eig(np.zeros(shape))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
@@ -156,12 +158,15 @@ def test_hermitian_eig_on_a_stack_equals_one_call_per_matrix(n):
     stack = np.stack([s * random_hermitian(rng, n) for s in (1e-3, 1.0, 1e6, 0.0)])
     w, v = hermitian_eig(stack)
     assert w.shape == (4, n) and v.shape == (4, n, n)
-    values = hermitian_eigenvalues(stack)
+    # a stack with two leading axes is decomposed matrix by matrix as well
+    grid_w, grid_v = hermitian_eig(stack.reshape(2, 2, n, n))
+    assert grid_w.shape == (2, 2, n) and grid_v.shape == (2, 2, n, n)
     for k, h in enumerate(stack):
         w_k, v_k = hermitian_eig(h)
         assert w[k].tobytes() == w_k.tobytes()
         assert v[k].tobytes() == v_k.tobytes()
-        assert values[k].tobytes() == hermitian_eigenvalues(h).tobytes()
+        assert grid_w[divmod(k, 2)].tobytes() == w_k.tobytes()
+        assert grid_v[divmod(k, 2)].tobytes() == v_k.tobytes()
     empty_w, empty_v = hermitian_eig(np.zeros((0, n, n)))
     assert empty_w.shape == (0, n) and empty_v.shape == (0, n, n)
 
@@ -173,8 +178,8 @@ def test_hermitian_eig_on_a_stack_checks_every_matrix():
     stack[2] = [[0.0, 1.0], [0.0, 0.0]]
     with pytest.raises(NotHermitian, match=r"matrix \(2,\) of the stack deviates"):
         hermitian_eig(stack)
-    with pytest.raises(NotHermitian, match=r"matrix \(2,\) of the stack deviates"):
-        hermitian_eigenvalues(stack)
+    with pytest.raises(NotHermitian, match=r"matrix \(0, 2\) of the stack deviates"):
+        hermitian_eig(stack[None])
     # a single matrix keeps its message word for word
     with pytest.raises(NotHermitian) as raised:
         hermitian_eig(stack[2])
@@ -182,11 +187,11 @@ def test_hermitian_eig_on_a_stack_checks_every_matrix():
 
 
 @pytest.mark.parametrize("n", [1, 3, 8])
-def test_hermitian_eigenvalues_match_hermitian_eig(n):
+def test_hermitian_eig_eigenvalues_match_eigvalsh(n):
     rng = rng_for(9, n)
     for _ in range(20):
         h = random_hermitian(rng, n)
-        assert max_norm(hermitian_eigenvalues(h) - hermitian_eig(h)[0]) < 1e-12
+        assert max_norm(np.linalg.eigvalsh(h) - hermitian_eig(h)[0]) < 1e-12
 
 
 MAT_1_2_3 = BlockAlgebra((1, 2, 3))

@@ -107,6 +107,24 @@ def test_analyze_accepts_a_strictly_contracting_map(tmp_path, capsys):
     }
 
 
+def test_analyze_with_a_peripheral_tol_below_rounding(tmp_path, capsys):
+    # LAPACK's real solver returns ex1's eigenvalue 1 exactly, from the block
+    # [[1/2, 1/2], [1/2, 1/2]] on the diagonal units, and lambda0 and its
+    # conjugate off the unit circle by rounding. At --peripheral-tol 1e-20
+    # only the point at 1 is left, and ergodic and invariant_state both read
+    # it: the state is the default run's, within eq_tol.
+    path = _write_map(tmp_path)
+    assert main(["analyze", str(path), "--json", *FAST]) == 0
+    default = json.loads(capsys.readouterr().out)
+    assert main(["analyze", str(path), "--json", "--peripheral-tol", "1e-20", *FAST]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [p["value"] for p in report["point_spectrum"]] == [[1.0, 0.0]]
+    assert report["ergodic"] is True
+    state, want = report["invariant_state"], default["invariant_state"]
+    assert state["faithful"] is want["faithful"] is True
+    assert max_norm(np.array(state["blocks"]) - np.array(want["blocks"])) <= 1e-9
+
+
 def _coordinates_of_manifest_combination(path, value, weights) -> str:
     """--coeffs text for sum_k weights[k] b_k, the b_k being the manifest's
     canonical eigenvectors at ``value``, in the coordinates of whatever

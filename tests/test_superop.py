@@ -38,12 +38,12 @@ from perispec import (
     unitality_check,
     vectorize,
 )
-from perispec import presets, superop
+from perispec import analysis, presets, superop
 from perispec.algebra import from_hermitian_basis, general_eig, to_hermitian_basis
 from perispec.mapfile import complex_to_pair
 from perispec.analysis import _continuous_entry, analyze
 from perispec.positivity import choi_matrix, complete_positivity
-from perispec.superop import PointSpectrum, SpectralPoint
+from perispec.superop import InvariantState, PointSpectrum, SpectralPoint
 
 from conftest import assert_frozen, from_action, random_element, random_unitary, rng_for
 
@@ -354,14 +354,14 @@ def test_real_route_matches_the_complex_route(name, monkeypatch, tol):
     phi = REAL_ROUTE_MAPS[name]()
     inputs = _recorded_eig_inputs(monkeypatch)
     spectrum = point_spectrum(phi, tol)
-    state = invariant_state(phi, tol)
+    state = invariant_state(phi, tol, spectrum)
     assert inputs == [np.float64]
     # peripheral values come out in exact conjugate pairs
     assert set(spectrum.values) == {v.conjugate() for v in spectrum.values}
 
     monkeypatch.setattr(superop, "_real_form", lambda phi, tol: None)
     reference = point_spectrum(phi, tol)
-    reference_state = invariant_state(phi, tol)
+    reference_state = invariant_state(phi, tol, reference)
     assert inputs == [np.float64, np.complex128]
     assert spectrum.dimensions == reference.dimensions
     for point, want in zip(spectrum.points, reference.points):
@@ -398,6 +398,165 @@ def test_maps_that_break_hermiticity_take_the_complex_route(monkeypatch, tol):
         assert superop._real_form(phi, tol) is None
         point_spectrum(phi, tol)
     assert inputs == [np.complex128, np.complex128]
+
+
+def _null_space_state(phi, tol) -> InvariantState:
+    """Reference invariant state by one full SVD: the kernel of (dual - id)
+    as :func:`~perispec.algebra.null_space` finds it, in the Hermitian basis
+    when the map preserves Hermiticity, the maximally mixed state projected
+    onto it, and the checks of invariant_state."""
+    algebra = phi.algebra
+    mixed = vectorize(algebra.scalar(1.0 / algebra.total_size))
+    real = superop._real_form(phi, tol)
+    if real is None:
+        kernel = null_space(phi.matrix.conj().T - np.eye(algebra.dim), tol)
+    else:
+        kernel = null_space(real.T - np.eye(algebra.dim), tol)
+        mixed = mixed.real
+    if not kernel:
+        raise NoPositiveFixedState("the dual map has no fixed point")
+    projected = sum(np.vdot(vec, mixed) * vec for vec in kernel)
+    if real is not None:
+        projected = from_hermitian_basis(algebra, projected)
+    candidate = devectorize(algebra, projected)
+    herm_defect = element_norm(candidate - adjoint(candidate))
+    if herm_defect > tol.eq_tol:
+        raise NoPositiveFixedState(
+            f"projected fixed point is not Hermitian (defect {herm_defect:.3e})"
+        )
+    candidate = 0.5 * (candidate + adjoint(candidate))
+    trace = candidate.trace()
+    if abs(trace) <= tol.eq_tol:
+        raise NoPositiveFixedState("projected fixed point has vanishing trace")
+    rho = (1.0 / trace) * candidate
+    fixed_residual = element_norm(
+        devectorize(algebra, phi.matrix.conj().T @ vectorize(rho)) - rho
+    )
+    if fixed_residual > max(tol.eq_tol, 10.0 * tol.rank_tol):
+        raise NoPositiveFixedState(
+            f"candidate drifts under the dual map by {fixed_residual:.3e}"
+        )
+    least = min(float(np.linalg.eigvalsh(p)[0]) for p in rho.parts)
+    if least < -tol.psd_tol:
+        raise NoPositiveFixedState(
+            f"fixed point of the dual map is not PSD (least eigenvalue {least:.3e})"
+        )
+    return InvariantState(rho=rho, faithful=least > tol.rank_tol)
+
+
+def _diagonal_reader() -> Superoperator:
+    """x -> x_00 1 on Mat(2): unital and positive, and its dual fixes only the
+    pure state |0><0|, which is not faithful."""
+    m = np.zeros((4, 4))
+    m[0, 0] = m[3, 0] = 1.0
+    return Superoperator(BlockAlgebra((2,)), m)
+
+
+INVARIANT_STATE_MAPS = {
+    "ex1-generic": lambda: build_example1(GENERIC)[0],
+    "ex1-i": lambda: build_example1(1j)[0],
+    "ex2-generic": lambda: build_example2(GENERIC)[0],
+    "ex2-i": lambda: build_example2(1j)[0],
+    # breaks Hermiticity, so the complex route runs
+    "ex2c-t0.5": lambda: build_example2_continuous(GENERIC).builder(0.5),
+    "psi-swap": lambda: build_psi_swap()[0],
+    **{f"conjugation-n{n}": (lambda n=n: _seeded_conjugation(n)) for n in (3, 4, 5, 6)},
+    "mixed-unitary-n4": lambda: _seeded_mixed_unitary(4),
+    "mixed-unitary-n8": lambda: _seeded_mixed_unitary(8),
+    "diagonal-reader": _diagonal_reader,
+    "shrink": lambda: Superoperator(BlockAlgebra((2,)), 0.5 * np.eye(4)),
+}
+
+
+def _state_or_error(build):
+    try:
+        return build()
+    except NoPositiveFixedState as exc:
+        return exc
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_STATE_MAPS))
+def test_invariant_state_matches_the_null_space_reference(name, tol):
+    phi = INVARIANT_STATE_MAPS[name]()
+    spectrum = point_spectrum(phi, tol)
+    state = _state_or_error(lambda: invariant_state(phi, tol, spectrum))
+    reference = _state_or_error(lambda: _null_space_state(phi, tol))
+    assert type(state) is type(reference)
+    if isinstance(reference, NoPositiveFixedState):
+        assert str(state) == str(reference)
+        return
+    assert element_norm(state.rho - reference.rho) <= tol.eq_tol
+    assert state.faithful is reference.faithful
+    # without a spectrum, invariant_state computes the same one itself
+    again = invariant_state(phi, tol)
+    for part, want in zip(again.rho.parts, state.rho.parts):
+        assert part.tobytes() == want.tobytes()
+
+
+def test_invariant_state_of_a_map_that_fixes_a_pure_state(tol):
+    state = invariant_state(_diagonal_reader(), tol)
+    assert not state.faithful
+    pure = BlockAlgebra((2,)).element([np.diag([1.0, 0.0])])
+    assert element_norm(state.rho - pure) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "name", ["ex2-generic", "ex2c-t0.5", "conjugation-n4", "mixed-unitary-n8"]
+)
+def test_invariant_state_with_a_spectrum_runs_no_square_svd(name, monkeypatch, tol):
+    # maps with more dimensions than starts, so a thin SVD is not square
+    phi = INVARIANT_STATE_MAPS[name]()
+    spectrum = point_spectrum(phi, tol)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def no_null_space(*args, **kwargs):
+        raise AssertionError("null_space called")
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    monkeypatch.setattr(superop, "null_space", no_null_space)
+    invariant_state(phi, tol, spectrum)
+    d = phi.algebra.dim
+    assert shapes and all(rows == d and cols < d for rows, cols in shapes)
+
+
+def test_analyze_computes_the_spectrum_once(monkeypatch):
+    calls = []
+    compute = superop.point_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(superop, "point_spectrum", counted)
+    monkeypatch.setattr(analysis, "point_spectrum", counted)
+    phi = build_example2(GENERIC)[0]
+    report = analyze(phi, samples=50)
+    assert len(calls) == 1 and calls[0] is phi
+    assert report["invariant_state"]["faithful"] is True
+
+
+def test_invariant_state_without_a_point_at_one_raises_before_any_solve(
+    monkeypatch, tol
+):
+    # ex1 with its point at 1 left out of the spectrum, as a peripheral_tol
+    # below rounding could leave it out: ergodic reads the same point
+    phi = build_example1(GENERIC)[0]
+    spectrum = point_spectrum(phi, tol)
+    spectrum = PointSpectrum(tuple(p for p in spectrum.points if p.value != 1.0))
+    assert spectrum.find(1.0) is None
+    routines = []
+    monkeypatch.setattr(
+        superop, "_lapack", lambda routine, *args, **kwargs: routines.append(routine)
+    )
+    with pytest.raises(NoPositiveFixedState, match="the dual map has no fixed point"):
+        invariant_state(phi, tol, spectrum)
+    assert routines == []
+    assert not ergodicity_check(phi, tol, spectrum)
 
 
 def _spectrum_with_eigenvectors(phi):

@@ -15,10 +15,11 @@ from perispec import (
     Tolerances,
     build_example2,
     classify_eigenvector,
+    invariant_state,
     point_spectrum,
     randomized_positivity_falsifier,
 )
-from perispec.superop import MERGE_TOL
+from perispec.superop import MERGE_TOL, PERIPHERAL_TOL
 
 GENERIC = np.exp(2j * np.pi / 5)
 
@@ -82,3 +83,44 @@ def test_ex2_split_resolves_exactly_when_its_gap_exceeds_ten_eq_tol(eq_tol):
     else:
         with pytest.raises(ProjectionMismatch, match=f"cannot separate .* across gap {gap:.3e}"):
             classify_eigenvector(phi, 1j, x, tol)
+
+
+# M = V diag(1, 1 - delta, 1/2) V^-1 on three 1x1 blocks, with V's first
+# column all ones, so M is unital. Its dual fixes only pi, row 0 of V^-1 over
+# its sum, which is orthogonal to V's other two columns: pi is their cross
+# product over its sum. The decaying direction at 1 - delta makes the map
+# non-normal. At delta = 5e-8 the spectrum folds 1 - delta into its point at
+# 1 (dimension 2), and only the rank rule keeps pi apart from it. The padded
+# map adds five 1x1 blocks that copy the first three at rate 1/2: its dual
+# fixes (pi, 0), and it has more dimensions than invariant_state has starts.
+# delta <= 1e-8 is left out: there the singular value of the decaying
+# direction falls under rank_tol, the dual kernel has dimension 2, and the
+# state is off by up to 0.19.
+_NON_NORMAL_FRAME = np.array([[1.0, 1.0, 0.3], [1.0, -0.5, 1.0], [1.0, 0.2, -1.2]])
+
+
+def _non_normal_map(delta: float, pad: int) -> tuple[Superoperator, np.ndarray]:
+    v = _NON_NORMAL_FRAME
+    m = v @ np.diag([1.0, 1.0 - delta, 0.5]) @ np.linalg.inv(v)
+    d = 3 + pad
+    padded = np.zeros((d, d))
+    padded[:3, :3] = m
+    for j in range(3, d):
+        padded[j, j] = padded[j, j % 3] = 0.5
+    pi = np.cross(v[:, 1], v[:, 2])
+    expected = np.concatenate([pi / pi.sum(), np.zeros(pad)])
+    return Superoperator(BlockAlgebra((1,) * d), padded), expected
+
+
+@pytest.mark.parametrize("pad", [0, 5])
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 2e-7, 5e-8])
+def test_non_normal_map_keeps_its_state_apart_from_a_decay_at_one_minus_delta(delta, pad):
+    phi, pi = _non_normal_map(delta, pad)
+    spectrum = point_spectrum(phi)
+    # 1 - delta is peripheral, and joins the point at 1, exactly when delta
+    # is within PERIPHERAL_TOL = MERGE_TOL
+    assert PERIPHERAL_TOL == MERGE_TOL
+    assert spectrum.find(1.0).dimension == (2 if delta <= PERIPHERAL_TOL else 1)
+    state = invariant_state(phi, spectrum=spectrum)
+    assert np.abs(np.array([p[0, 0] for p in state.rho.parts]) - pi).max() <= 1e-8
+    assert state.faithful is (pad == 0)
