@@ -242,7 +242,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     loaded = load_map_file(args.mapfile, t=args.t)
     value = _parse_cli_complex(args.lam)
     spectrum = point_spectrum(loaded.phi, tol, args.peripheral_tol, args.merge_tol)
-    point = spectrum.find(value, args.merge_tol)
+    point = spectrum.find(value)
     if point is None:
         known = ", ".join(f"{v:.6g}" for v in spectrum.values)
         raise LambdaNotInSpectrum(

@@ -126,9 +126,14 @@ class SpectralPoint:
 
 @dataclass(frozen=True)
 class PointSpectrum:
-    """Peripheral spectral points sorted by (real, imaginary) part."""
+    """Peripheral spectral points sorted by (real, imaginary) part.
+
+    ``merge_tol`` is the radius the points were merged with, and the radius
+    :meth:`find` looks a value up with unless given another one.
+    """
 
     points: tuple[SpectralPoint, ...]
+    merge_tol: float = MERGE_TOL
 
     @property
     def values(self) -> tuple[complex, ...]:
@@ -138,7 +143,9 @@ class PointSpectrum:
     def dimensions(self) -> tuple[int, ...]:
         return tuple(p.dimension for p in self.points)
 
-    def find(self, value: complex, radius: float = MERGE_TOL) -> SpectralPoint | None:
+    def find(self, value: complex, radius: float | None = None) -> SpectralPoint | None:
+        if radius is None:
+            radius = self.merge_tol
         for point in self.points:
             if abs(point.value - value) <= radius:
                 return point
@@ -319,6 +326,108 @@ def _row_drift(phi: Superoperator, rows: np.ndarray, values) -> np.ndarray:
     return np.abs(drift).max(axis=1)
 
 
+# How far above 1 the inverse iteration of :func:`_fixed_space` shifts: far
+# below MERGE_TOL, and a power of two, so that 1 + shift is exact.
+_SHIFT = 2.0**-33
+
+# The smallest dimension at which point_spectrum tries the spectral-gap
+# certificate before the dense eigendecomposition. Below it the eig of a
+# seeded channel is cheaper than the certificate's Gram eigenvalues and
+# inverse iteration together (measured crossover, see CHANGES.md).
+_CERTIFICATE_MIN_DIM = 36
+
+
+@functools.lru_cache(maxsize=16)
+def _extra_starts(d: int) -> np.ndarray:
+    """The two extra starts of :func:`_fixed_space` and the probe columns of
+    :func:`_single_peripheral`: sin(j) and sin(2 j) for j = 1 .. d as
+    columns, fixed and dense. Made once per d, read-only."""
+    extra = np.sin(np.outer(np.arange(1, d + 1), (1.0, 2.0)))
+    extra.setflags(write=False)
+    return extra
+
+
+def _identity_vector(algebra: BlockAlgebra) -> np.ndarray:
+    """The vectorization of the identity, real. A multiple of the identity
+    has the same coordinates in the Hermitian basis."""
+    return np.concatenate([np.eye(n).reshape(-1) for n in algebra.blocks])
+
+
+def _fixed_space(a: np.ndarray, starts: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of ``a`` - id, found by
+    inverse iteration from the columns of ``starts``.
+
+    Two solves with (a - (1 + shift) id) turn the starts towards the
+    eigenvectors of ``a`` at and near 1, and the left singular vectors of
+    the result make them an orthonormal Q. A thin SVD of (a - id) Q keeps
+    the directions of Q whose singular value is at most ``rank_tol`` times
+    the largest column norm of a - id, a lower bound on its largest
+    singular value. So by interlacing the kernel found is no larger than the
+    one that :func:`~perispec.algebra.null_space` of a - id finds. Every
+    decomposition is d x m for m starts, not d x d.
+    """
+    shifted = np.array(a)
+    shifted.flat[:: len(a) + 1] -= 1.0 + _SHIFT
+    y = _lapack(np.linalg.solve, shifted, _lapack(np.linalg.solve, shifted, starts))
+    q = _lapack(np.linalg.svd, y, full_matrices=False)[0]
+    _, s, vh = _lapack(np.linalg.svd, shifted @ q + _SHIFT * q, full_matrices=False)
+    column_norm = math.sqrt(float(np.max(np.sum(np.abs(shifted) ** 2, axis=0))))
+    lower = max(column_norm - _SHIFT, 0.0)
+    return q @ vh[s <= tol.rank_tol * lower].conj().T
+
+
+def _single_peripheral(
+    a: np.ndarray, algebra: BlockAlgebra, peripheral_tol: float, tol: Tolerances
+) -> tuple[complex, np.ndarray] | None:
+    """The one peripheral eigenvalue of ``a`` and a unit eigenvector, when a
+    spectral-gap certificate allows only one; None otherwise.
+
+    By Weyl's majorant theorem |l1 l2| <= s1 s2 for the two largest
+    eigenvalue moduli and singular values, so s1 s2 < (1 - peripheral_tol)^2
+    leaves at most one eigenvalue, counted with algebraic multiplicity, of
+    modulus 1 - peripheral_tol or more. The singular values of ``a`` times
+    two orthonormal columns bound s1 and s2 from below, so when their
+    product already reaches that target the certificate is not tried: every
+    isometry stops there at O(d^2) cost. Otherwise s1 and s2 come from the
+    eigenvalues of a* a. When they certify, :func:`_fixed_space` at 1, from
+    the identity of ``algebra`` and the two extra starts, must find a
+    one-dimensional kernel whose Rayleigh quotient is peripheral.
+    """
+    d = len(a)
+    target = max(1.0 - peripheral_tol, 0.0) ** 2
+    extra = _extra_starts(d)
+    probe = a @ extra
+    g, h = probe.conj().T @ probe, extra.T @ extra
+    # (s1 s2)^2 of a Q, for Q the orthonormalized extra starts (the QR
+    # extra = Q R), is det(R^-* extra* a* a extra R^-1) = det g / det h
+    if (g[0, 0] * g[1, 1]).real - abs(g[0, 1]) ** 2 >= target**2 * (
+        h[0, 0] * h[1, 1] - h[0, 1] ** 2
+    ):
+        return None
+    gram = a.T @ a if np.isrealobj(a) else a.conj().T @ a
+    w = _lapack(np.linalg.eigvalsh, gram)
+    # Each entry of the computed a* a is an inner product of length d, so the
+    # product is off by at most about d u ||a||_F^2 in the 2-norm (u the unit
+    # roundoff), and eigvalsh is backward stable, which by Weyl's perturbation
+    # theorem moves each eigenvalue by at most a modest multiple of
+    # u ||a* a||_2 <= u ||a||_F^2, d^2 u in the textbook worst case of the
+    # tridiagonal reduction. 2 d^2 eps = 4 d^2 u covers both with room for
+    # complex arithmetic.
+    slack = 2.0 * d * d * np.finfo(np.float64).eps * float(np.trace(gram).real)
+    top = np.maximum(w[-2:] + slack, 0.0)
+    if math.sqrt(top[0] * top[1]) >= target:
+        return None
+    starts = np.column_stack([_identity_vector(algebra), extra])
+    kernel = _fixed_space(a, starts, tol)
+    if kernel.shape[1] != 1:
+        return None
+    vector = kernel[:, 0]
+    value = complex(np.vdot(vector, a @ vector))
+    if abs(abs(value) - 1.0) > peripheral_tol:
+        return None
+    return value, vector
+
+
 def point_spectrum(
     phi: Superoperator,
     tol: Tolerances = DEFAULT_TOL,
@@ -327,12 +436,18 @@ def point_spectrum(
 ) -> PointSpectrum:
     """Peripheral eigenvalues of the map with orthonormal eigenspace bases.
 
-    One dense eigendecomposition gives every eigenvalue and eigenvector. A
-    map that preserves Hermiticity within ``eq_tol``, as every positive map
+    A map that preserves Hermiticity within ``eq_tol``, as every positive map
     does, is decomposed in the Hermitian basis, where its matrix is real:
     LAPACK's real solver is faster, and it returns the eigenvalues off the
     real axis in exact conjugate pairs. Only the peripheral eigenvectors are
     mapped back. Any other map is decomposed as a complex matrix.
+
+    From dimension ``_CERTIFICATE_MIN_DIM`` on, the spectral-gap certificate
+    of :func:`_single_peripheral` is tried first. When it proves that at
+    most one eigenvalue can be peripheral and finds it near 1, that value
+    with its eigenvector, phased so that its entry of largest modulus is
+    real and positive, is the whole spectrum. Otherwise one dense
+    eigendecomposition gives every eigenvalue and eigenvector.
 
     Eigenvalues within ``peripheral_tol`` of the unit circle are kept and
     numerically split copies within ``merge_tol`` of each other are merged.
@@ -343,12 +458,22 @@ def point_spectrum(
     verified the same way.
     """
     real = _real_form(phi, tol)
-    eigenvalues, eigenvectors = general_eig(phi.matrix if real is None else real)
-    keep = [k for k, v in enumerate(eigenvalues) if abs(abs(v) - 1.0) <= peripheral_tol]
-    peripheral = [complex(eigenvalues[k]) for k in keep]
-    columns = eigenvectors[:, keep]
+    a = phi.matrix if real is None else real
+    found = None
+    if len(a) >= _CERTIFICATE_MIN_DIM:
+        found = _single_peripheral(a, phi.algebra, peripheral_tol, tol)
+    if found is None:
+        eigenvalues, eigenvectors = general_eig(a)
+        keep = [k for k, v in enumerate(eigenvalues) if abs(abs(v) - 1.0) <= peripheral_tol]
+        peripheral = [complex(eigenvalues[k]) for k in keep]
+        columns = eigenvectors[:, keep]
+    else:
+        peripheral, columns = [found[0]], found[1][:, None]
     if real is not None:
         columns = from_hermitian_basis(phi.algebra, columns)
+    if found is not None:
+        top = columns[np.argmax(np.abs(columns[:, 0])), 0]
+        columns = columns * (abs(top) / top)
     bound = max(tol.eq_tol, 10.0 * tol.rank_tol)
     points = []
     for value, spread, members in _cluster_values(peripheral, merge_tol):
@@ -371,7 +496,7 @@ def point_spectrum(
         points.append(
             SpectralPoint(value, tuple(_devectorize(phi.algebra, v) for v in basis.T))
         )
-    return PointSpectrum(tuple(points))
+    return PointSpectrum(tuple(points), merge_tol)
 
 
 def ergodicity_check(
@@ -389,43 +514,6 @@ def ergodicity_check(
     return scalar_multiple_of_identity(fixed.basis[0], tol) is not None
 
 
-# How far above 1 the inverse iteration of invariant_state shifts: far below
-# MERGE_TOL, and a power of two, so that 1 + shift is exact.
-_DUAL_SHIFT = 2.0**-33
-
-
-@functools.lru_cache(maxsize=16)
-def _extra_starts(d: int) -> np.ndarray:
-    """The two extra starts of :func:`invariant_state`, sin(j) and sin(2 j)
-    for j = 1 .. d as columns: fixed and dense. Made once per d, read-only."""
-    extra = np.sin(np.outer(np.arange(1, d + 1), (1.0, 2.0)))
-    extra.setflags(write=False)
-    return extra
-
-
-def _dual_fixed_space(dual: np.ndarray, starts: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthonormal columns spanning the kernel of ``dual`` - id, found by
-    inverse iteration from the columns of ``starts``.
-
-    Two solves with (dual - (1 + shift) id) turn the starts towards the
-    eigenvectors of ``dual`` at and near 1, and the left singular vectors of
-    the result make them an orthonormal Q. A thin SVD of (dual - id) Q keeps
-    the directions of Q whose singular value is at most ``rank_tol`` times
-    the largest column norm of dual - id, a lower bound on its largest
-    singular value. So by interlacing the kernel found is no larger than the
-    one that :func:`~perispec.algebra.null_space` of dual - id finds. Every
-    decomposition is d x m for m starts, not d x d.
-    """
-    shifted = np.array(dual)
-    shifted.flat[:: len(dual) + 1] -= 1.0 + _DUAL_SHIFT
-    y = _lapack(np.linalg.solve, shifted, _lapack(np.linalg.solve, shifted, starts))
-    q = _lapack(np.linalg.svd, y, full_matrices=False)[0]
-    _, s, vh = _lapack(np.linalg.svd, shifted @ q + _DUAL_SHIFT * q, full_matrices=False)
-    column_norm = math.sqrt(float(np.max(np.sum(np.abs(shifted) ** 2, axis=0))))
-    lower = max(column_norm - _DUAL_SHIFT, 0.0)
-    return q @ vh[s <= tol.rank_tol * lower].conj().T
-
-
 def invariant_state(
     phi: Superoperator,
     tol: Tolerances = DEFAULT_TOL,
@@ -436,7 +524,7 @@ def invariant_state(
     The dual acts by the conjugate transpose of the matrix. Its fixed space
     has the dimension k of the spectrum's point at 1, which ``spectrum``
     gives, or :func:`point_spectrum` with ``tol`` when it is None. k = 0
-    raises at once. Otherwise :func:`_dual_fixed_space` finds the space from
+    raises at once. Otherwise :func:`_fixed_space` of the dual finds the space from
     the point's basis and two fixed extra columns. The left and right
     eigenspaces of a semisimple eigenvalue pair nonsingularly, so the basis
     reaches every dual fixed direction. Two solves damp a dual eigenvector
@@ -461,7 +549,7 @@ def invariant_state(
         raise NoPositiveFixedState("the dual map has no fixed point")
     algebra = phi.algebra
     # the vectorization of the maximally mixed state
-    mixed = np.concatenate([np.eye(n).reshape(-1) for n in algebra.blocks])
+    mixed = _identity_vector(algebra)
     mixed *= 1.0 / algebra.total_size
     basis = np.array([vectorize(x) for x in fixed.basis]).T
     extra = _extra_starts(algebra.dim)
@@ -471,9 +559,7 @@ def invariant_state(
     else:
         coordinates = to_hermitian_basis(algebra, basis)
         dual, starts = real.T, [coordinates.real, coordinates.imag, extra]
-        # a multiple of the identity has the same coordinates in both bases
-        mixed = mixed.real
-    kernel = _dual_fixed_space(dual, np.concatenate(starts, axis=1), tol)
+    kernel = _fixed_space(dual, np.concatenate(starts, axis=1), tol)
     if kernel.shape[1] == 0:
         raise NoPositiveFixedState("the dual map has no fixed point")
     projected = kernel @ (kernel.conj().T @ mixed)

@@ -14,6 +14,7 @@ from perispec import (
     Tolerances,
     vectorize,
 )
+from perispec import superop
 
 TEST_SEED = 987654321
 
@@ -92,3 +93,30 @@ def mat2() -> BlockAlgebra:
 @pytest.fixture
 def two_blocks() -> BlockAlgebra:
     return BlockAlgebra((2, 2))
+
+
+def route_calls(monkeypatch) -> list:
+    """Record, in call order, each dense eigendecomposition of
+    :func:`~perispec.superop.point_spectrum` as "general_eig", each use of
+    the extra columns that the spectral-gap certificate's early exit probes
+    with as "extra_starts", and each LAPACK routine that superop calls itself
+    by its name, such as "eigvalsh"."""
+    calls = []
+    general_eig, lapack, extra = superop.general_eig, superop._lapack, superop._extra_starts
+
+    def recorded_eig(m):
+        calls.append("general_eig")
+        return general_eig(m)
+
+    def recorded_extra(d):
+        calls.append("extra_starts")
+        return extra(d)
+
+    def recorded_lapack(routine, *args, **kwargs):
+        calls.append(routine.__name__)
+        return lapack(routine, *args, **kwargs)
+
+    monkeypatch.setattr(superop, "general_eig", recorded_eig)
+    monkeypatch.setattr(superop, "_lapack", recorded_lapack)
+    monkeypatch.setattr(superop, "_extra_starts", recorded_extra)
+    return calls

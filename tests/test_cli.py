@@ -125,6 +125,23 @@ def test_analyze_with_a_peripheral_tol_below_rounding(tmp_path, capsys):
     assert max_norm(np.array(state["blocks"]) - np.array(want["blocks"])) <= 1e-9
 
 
+def test_analyze_looks_up_the_point_at_one_with_its_own_merge_radius(tmp_path, capsys):
+    # diag(1, 0.999998, 0.5) on three 1x1 blocks: at radius 1e-5 the values
+    # 1 and 0.999998 merge into one point at 0.999999 of dimension 2, which
+    # lies outside the default MERGE_TOL of 1. The dual fixes only e0.
+    path = tmp_path / "near-fold.json"
+    matrix = np.diag([1.0, 0.999998, 0.5]).tolist()
+    path.write_text(dump_json({"algebra": {"blocks": [1, 1, 1]}, "map": {"superop": matrix}}))
+    radii = ["--tol", "1e-5", "--peripheral-tol", "1e-5", "--merge-tol", "1e-5"]
+    assert main(["analyze", str(path), "--json", *radii, *FAST]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [p["dimension"] for p in report["point_spectrum"]] == [2]
+    assert report["ergodic"] is False
+    state = report["invariant_state"]
+    assert state["faithful"] is False
+    assert max_norm(np.array(state["blocks"]).reshape(3, 2) - [[1, 0], [0, 0], [0, 0]]) <= 1e-12
+
+
 def _coordinates_of_manifest_combination(path, value, weights) -> str:
     """--coeffs text for sum_k weights[k] b_k, the b_k being the manifest's
     canonical eigenvectors at ``value``, in the coordinates of whatever

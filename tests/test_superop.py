@@ -14,6 +14,7 @@ from perispec import (
     DimensionMismatch,
     NoPositiveFixedState,
     Superoperator,
+    Tolerances,
     adjoint,
     apply,
     build_example1,
@@ -45,7 +46,14 @@ from perispec.analysis import _continuous_entry, analyze
 from perispec.positivity import choi_matrix, complete_positivity
 from perispec.superop import InvariantState, PointSpectrum, SpectralPoint
 
-from conftest import assert_frozen, from_action, random_element, random_unitary, rng_for
+from conftest import (
+    assert_frozen,
+    from_action,
+    random_element,
+    random_unitary,
+    rng_for,
+    route_calls,
+)
 
 GENERIC = np.exp(2j * np.pi / 5)
 
@@ -208,8 +216,8 @@ def _seeded_conjugation(n: int) -> Superoperator:
     return _kron_conjugation(random_unitary(rng_for(40, n), n))
 
 
-def _seeded_mixed_unitary(n: int) -> Superoperator:
-    rng = rng_for(41, n)
+def _seeded_mixed_unitary(n: int, *tags: int) -> Superoperator:
+    rng = rng_for(41, n, *tags)
     weights = rng.dirichlet(np.ones(3))
     return Superoperator(
         BlockAlgebra((n,)),
@@ -377,10 +385,10 @@ def test_real_route_matches_the_complex_route(name, monkeypatch, tol):
         assert abs(complete_positivity(phi, tol)[1] - least) <= 1e-12
 
 
-def _hermiticity_defect_map(tol) -> Superoperator:
-    """The seeded mixed-unitary map on Mat(4) plus an anti-Hermitian-valued
+def _hermiticity_defect_map(tol, n: int = 4) -> Superoperator:
+    """The seeded mixed-unitary map on Mat(n) plus an anti-Hermitian-valued
     term of relative size 10 eq_tol in the Hermitian basis."""
-    phi = _seeded_mixed_unitary(4)
+    phi = _seeded_mixed_unitary(n)
     algebra = phi.algebra
     bump = np.zeros((algebra.dim, algebra.dim))
     bump[1, 2] = 10.0 * tol.eq_tol * max(1.0, max_norm(phi.hermitian_form[0]))
@@ -398,6 +406,83 @@ def test_maps_that_break_hermiticity_take_the_complex_route(monkeypatch, tol):
         assert superop._real_form(phi, tol) is None
         point_spectrum(phi, tol)
     assert inputs == [np.complex128, np.complex128]
+
+
+CERTIFIED_MAPS = {
+    **{
+        f"mixed-unitary-n{n}-s{seed}": (lambda n=n, seed=seed: _seeded_mixed_unitary(n, seed))
+        for n in (6, 8, 12, 16)
+        for seed in (1, 2, 3)
+    },
+    # breaks Hermiticity, so the certificate runs on the complex matrix
+    "complex-route-n6": lambda: _hermiticity_defect_map(Tolerances(), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_MAPS))
+def test_certified_route_matches_the_eig_route(name, monkeypatch, tol):
+    phi = CERTIFIED_MAPS[name]()
+    assert phi.algebra.dim >= superop._CERTIFICATE_MIN_DIM
+    assert (superop._real_form(phi, tol) is None) is name.startswith("complex-route")
+    calls = route_calls(monkeypatch)
+    spectrum = point_spectrum(phi, tol)
+    assert calls[:2] == ["extra_starts", "eigvalsh"] and "general_eig" not in calls
+    state = invariant_state(phi, tol, spectrum)
+
+    monkeypatch.setattr(superop, "_CERTIFICATE_MIN_DIM", math.inf)
+    del calls[:]
+    reference = point_spectrum(phi, tol)
+    assert calls == ["general_eig"]
+    reference_state = invariant_state(phi, tol, reference)
+    assert spectrum.dimensions == reference.dimensions == (1,)
+    (point,), (want,) = spectrum.points, reference.points
+    assert abs(point.value - want.value) <= 1e-12
+    assert max_norm(_projector(point) - _projector(want)) <= 1e-9
+    # the basis vector's entry of largest modulus is real and positive
+    q = _basis_columns(point)[:, 0]
+    top = q[np.argmax(np.abs(q))]
+    assert top.real > 0 and abs(top.imag) <= 1e-15
+    assert element_norm(state.rho - reference_state.rho) <= tol.eq_tol
+    assert state.faithful is reference_state.faithful
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+def test_isometries_leave_the_certificate_at_its_early_exit(n, monkeypatch, tol):
+    # conjugations x -> u x u*, the peripheral-ladder maps: every singular
+    # value is 1, so no Gram eigenvalues are computed
+    calls = route_calls(monkeypatch)
+    point_spectrum(_seeded_conjugation(n), tol)
+    assert "eigvalsh" not in calls and calls.count("general_eig") == 1
+    assert ("extra_starts" in calls) is (n * n >= superop._CERTIFICATE_MIN_DIM)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_below_the_floor_neither_the_probe_nor_the_gram_eigenvalues_run(
+    n, monkeypatch, tol
+):
+    assert n * n < superop._CERTIFICATE_MIN_DIM
+    calls = route_calls(monkeypatch)
+    point_spectrum(_seeded_mixed_unitary(n), tol)
+    assert calls == ["general_eig"]
+
+
+def test_point_spectrum_finds_values_within_its_own_merge_radius():
+    # diag(1, 0.999998, 0.5) on three 1x1 blocks at radius 1e-5: the point at
+    # 0.999999 lies 1e-6 from 1, outside MERGE_TOL but inside the radius the
+    # spectrum was merged with. The dual fixes only e0.
+    phi = Superoperator(BlockAlgebra((1, 1, 1)), np.diag([1.0, 0.999998, 0.5]))
+    loose = Tolerances(eq_tol=1e-5)
+    spectrum = point_spectrum(phi, loose, 1e-5, 1e-5)
+    assert spectrum.merge_tol == 1e-5 and spectrum.dimensions == (2,)
+    assert spectrum.find(1.0) is spectrum.points[0]
+    assert spectrum.find(1.0, superop.MERGE_TOL) is None
+    # a spectrum built by hand looks values up at MERGE_TOL
+    assert PointSpectrum(spectrum.points).find(1.0) is None
+    state = invariant_state(phi, loose, spectrum)
+    assert state.faithful is False
+    e0 = phi.algebra.element([[[1.0]], [[0.0]], [[0.0]]])
+    assert element_norm(state.rho - e0) <= 1e-12
+    assert not ergodicity_check(phi, loose, spectrum)
 
 
 def _null_space_state(phi, tol) -> InvariantState:

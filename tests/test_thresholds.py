@@ -4,6 +4,8 @@ Every expected answer comes from a closed form, never from perispec itself:
 a row states the input, the closed-form quantity that the decision reads, and
 the outcome that quantity implies against the threshold."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,10 @@ from perispec import (
     point_spectrum,
     randomized_positivity_falsifier,
 )
+from perispec import superop
 from perispec.superop import MERGE_TOL, PERIPHERAL_TOL
+
+from conftest import route_calls
 
 GENERIC = np.exp(2j * np.pi / 5)
 
@@ -124,3 +129,93 @@ def test_non_normal_map_keeps_its_state_apart_from_a_decay_at_one_minus_delta(de
     state = invariant_state(phi, spectrum=spectrum)
     assert np.abs(np.array([p[0, 0] for p in state.rho.parts]) - pi).max() <= 1e-8
     assert state.faithful is (pad == 0)
+
+
+# diag(1, 1 - delta, 1/2, ..., 1/2) on d 1x1 blocks, d above the size floor
+# of the spectral-gap certificate. Its two largest singular values multiply
+# to s1 s2 = 1 - delta, so the certificate, s1 s2 < (1 - PERIPHERAL_TOL)^2,
+# holds exactly when delta exceeds about 2 PERIPHERAL_TOL; its rounding
+# allowance, under 1e-12 here, moves no row. Certified or not, 1 - delta is
+# peripheral only for delta <= PERIPHERAL_TOL, so the spectrum is the point
+# 1 with basis e0 on every row but the last. At delta = 5e-8 the eig route
+# folds 1 - delta into that point, which is not asserted to be right.
+_DIAGONAL_DIM = 40
+
+
+def _diagonal_map(*head: float) -> Superoperator:
+    values = np.full(_DIAGONAL_DIM, 0.5)
+    values[: len(head)] = head
+    return Superoperator(BlockAlgebra((1,) * _DIAGONAL_DIM), np.diag(values))
+
+
+def _eig_route(monkeypatch, phi, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(superop, "_CERTIFICATE_MIN_DIM", math.inf)
+        return point_spectrum(phi, **kwargs)
+
+
+def _assert_same_points(spectrum, reference):
+    assert spectrum.dimensions == reference.dimensions
+    for value, want in zip(spectrum.values, reference.values):
+        assert abs(value - want) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 3e-7, 1.5e-7, 5e-8])
+def test_gap_certificate_holds_exactly_when_one_minus_delta_is_below_the_target(
+    delta, monkeypatch
+):
+    assert _DIAGONAL_DIM >= superop._CERTIFICATE_MIN_DIM
+    phi = _diagonal_map(1.0, 1.0 - delta)
+    certified = 1.0 - delta < (1.0 - PERIPHERAL_TOL) ** 2
+    calls = route_calls(monkeypatch)
+    spectrum = point_spectrum(phi)
+    assert ("general_eig" not in calls) is certified
+    assert "eigvalsh" in calls
+    _assert_same_points(spectrum, _eig_route(monkeypatch, phi))
+    if delta > PERIPHERAL_TOL:
+        assert spectrum.dimensions == (1,) and abs(spectrum.values[0] - 1.0) <= 1e-12
+        e0 = np.abs([p[0, 0] for p in spectrum.points[0].basis[0].parts])
+        assert np.abs(e0 - np.eye(_DIAGONAL_DIM)[0]).max() <= 1e-12
+
+
+def test_gap_certificate_declines_a_non_normal_map_with_a_gap(monkeypatch):
+    # V diag(1, 1/2, 1/4, 1/2, 1/4, 1/8, ...) V^-1 with V the identity plus
+    # 40 at (1, 2) and (3, 4): each pair becomes the block [[a, 40 (b - a)],
+    # [0, b]] with a = 1/2, b = 1/4, whose largest singular value is at least
+    # 40 |b - a| = 10. So s1 s2 >= 100 although every eigenvalue but 1 has
+    # modulus at most 1/2, and the eig route runs.
+    values = np.full(_DIAGONAL_DIM, 0.125)
+    values[:5] = [1.0, 0.5, 0.25, 0.5, 0.25]
+    v = np.eye(_DIAGONAL_DIM)
+    v[1, 2] = v[3, 4] = 40.0
+    m = v @ np.diag(values) @ np.linalg.inv(v)
+    assert np.linalg.svd(m, compute_uv=False)[1] >= 10.0
+    phi = Superoperator(BlockAlgebra((1,) * _DIAGONAL_DIM), m)
+    calls = route_calls(monkeypatch)
+    spectrum = point_spectrum(phi)
+    assert "general_eig" in calls
+    assert spectrum.dimensions == (1,) and abs(spectrum.values[0] - 1.0) <= 1e-12
+
+
+def test_gap_certificate_falls_back_when_the_one_large_eigenvalue_is_minus_one(
+    monkeypatch,
+):
+    # diag(-1, 1/2, ...): s1 s2 = 1/2 certifies, but the kernel at 1 is empty,
+    # so the eig route runs and finds the point -1
+    phi = _diagonal_map(-1.0)
+    calls = route_calls(monkeypatch)
+    spectrum = point_spectrum(phi)
+    assert "eigvalsh" in calls and "general_eig" in calls
+    assert spectrum.dimensions == (1,) and spectrum.values == (-1.0,)
+
+
+def test_gap_certificate_never_applies_at_a_peripheral_tol_of_one_or_more(monkeypatch):
+    # at peripheral_tol = 2 the target (1 - 2)^2 clipped to 0 is met by every
+    # map, so the early exit fires; every eigenvalue of modulus at most 3 is
+    # peripheral: 1, 1 - 1e-3, and the 38 copies of 1/2 merged into one point
+    phi = _diagonal_map(1.0, 1.0 - 1e-3)
+    calls = route_calls(monkeypatch)
+    spectrum = point_spectrum(phi, peripheral_tol=2.0)
+    assert "eigvalsh" not in calls and "general_eig" in calls
+    assert spectrum.dimensions == (_DIAGONAL_DIM - 2, 1, 1)
+    _assert_same_points(spectrum, _eig_route(monkeypatch, phi, peripheral_tol=2.0))
