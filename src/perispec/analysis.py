@@ -104,14 +104,21 @@ def _positivity_entry(
     }
 
 
+_CERTIFIED_CHOI = (
+    "pivoted Cholesky factor of the Choi matrix, of rank below its side: the "
+    "value is a proven lower bound on its least eigenvalue, from the residual "
+    "and a rounding allowance"
+)
+
+
 def _complete_positivity_entry(phi: Superoperator, tol: Tolerances) -> dict:
     try:
-        _, least, completely_positive = complete_positivity(phi, tol)
+        _, least, completely_positive, certified = complete_positivity(phi, tol)
     except MultiBlockUnsupported as exc:
         return {"supported": False, "reason": str(exc)}
     return {
         "supported": True,
-        "method": "least eigenvalue of the Choi matrix",
+        "method": _CERTIFIED_CHOI if certified else "least eigenvalue of the Choi matrix",
         "choi_min_eigenvalue": least,
         "completely_positive": completely_positive,
     }

@@ -350,7 +350,7 @@ def cmd_positivity(args: argparse.Namespace) -> int:
 def cmd_choi(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     loaded = load_map_file(args.mapfile, t=args.t)
-    choi, least, completely_positive = complete_positivity(loaded.phi, tol)
+    choi, least, completely_positive, _ = complete_positivity(loaded.phi, tol)
     report = {
         "algebra": {"blocks": list(loaded.phi.algebra.blocks)},
         "choi": matrix_to_json(choi),

@@ -11,7 +11,10 @@ alone gives; the one-matrix calls are one-row calls of the same code.
 
 Complete positivity of a map on a single full matrix block is decided through
 its Choi matrix, assembled with row-major tensor ordering: the (i, j) outer
-block of the Choi matrix is the image of the matrix unit E_ij.
+block of the Choi matrix is the image of the matrix unit E_ij. A Choi matrix
+of low rank, as of a map with few Kraus operators, is proved PSD by a pivoted
+Cholesky factor and a rounding bound; any other is decided by its least
+eigenvalue.
 
 Plain positivity of a map is probed, not proved, by a seesaw descent over
 pure inputs, one piece of the map from an input block to an output block at a
@@ -20,6 +23,7 @@ time; any negative output eigenvalue it finds comes with its input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +80,12 @@ __all__ = [
 # which a run stops.
 _SEESAW_STARTS = 16
 _SEESAW_RTOL = 1e-12
+
+# The smallest Choi side n^2 at which complete_positivity tries a pivoted
+# Cholesky factor before eigvalsh, and the share of that side, 1/8, beyond
+# which the factor's rank gives up (measured, see CHANGES.md).
+_FACTOR_MIN_SIDE = 36
+_FACTOR_RANK_SHARE = 8
 
 
 def _square(m) -> np.ndarray:
@@ -465,19 +475,89 @@ def choi_matrix(phi: Superoperator) -> np.ndarray:
     return phi.matrix.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
 
 
+def _factor_bound(h: np.ndarray, psd_tol: float) -> float | None:
+    """A proven lower bound, within psd_tol of zero, on the least eigenvalue
+    of the exactly Hermitian ``h``, from a diagonally pivoted Cholesky factor
+    of low rank; None when the factor does not give one.
+
+    The factor L takes the largest remaining diagonal entry as its pivot
+    until that entry is at most psd_tol, and gives up beyond rank N /
+    _FACTOR_RANK_SHARE for h of side N. L L* is PSD, so by Weyl's theorem
+    h = L L* + S has least eigenvalue at least -||S||_2 >= -||S||_F. The
+    rank of L L* is below N, so its least eigenvalue is 0, and that of h is
+    at most ||S||_2: the bound is within 2 ||S||_F plus the rounding
+    allowance of it. None also when S has a diagonal entry below minus that
+    allowance, a negative direction of h that eigvalsh measures, or when the
+    bound is below -psd_tol.
+    """
+    size = len(h)
+    # row k holds column k of L
+    rows = np.zeros((size // _FACTOR_RANK_SHARE, size), dtype=h.dtype)
+    remaining = h.diagonal().real.copy()
+    for rank in range(len(rows) + 1):
+        pivot = int(remaining.argmax())
+        top = remaining[pivot]
+        if not top > psd_tol:
+            break
+        if rank == len(rows):
+            return None
+        # column pivot of h is the conjugate of its row pivot; a new array
+        # even when h is real
+        column = np.conjugate(h[pivot])
+        column -= rows[:rank, pivot].conj() @ rows[:rank]
+        column *= 1.0 / math.sqrt(top)
+        rows[rank] = column
+        remaining -= (column * column.conj()).real
+    rows = rows[:rank]
+    # residual is the computed L L* - h = -S. Each entry of L L* is a
+    # complex inner product of length r = rank, off by at most gamma_{r+2}
+    # (|L| |L|*)_ij (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2002, sec. 3.6; gamma_m = m u / (1 - m u), u the unit roundoff), and
+    # the subtraction adds u |S_ij|. So ||S||_F exceeds the computed
+    # ||residual||_F by at most about (r + 2) u ||L||_F^2, since
+    # || |L| |L|* ||_F <= ||L||_F^2. 4 (r + 3) u = 2 (r + 3) eps covers that
+    # with room for the rounding of ||L||_F^2 itself. A sum of N^2 squares
+    # has relative error at most about N^2 u, so the factor 1 + N^2 eps
+    # covers the computed ||residual||_F, and the few roundings that form
+    # the bound fit in the same room.
+    residual = rows.T @ rows.conj()
+    residual -= h
+    eps = float(np.finfo(np.float64).eps)
+    allowance = 2.0 * (rank + 3) * eps * float(np.vdot(rows, rows).real)
+    if not residual.diagonal().real.max() <= allowance:
+        return None
+    # 0.0 - keeps the zero matrix's bound at +0.0, the value eigvalsh gives
+    bound = 0.0 - (float(np.linalg.norm(residual)) * (1.0 + size * size * eps) + allowance)
+    return bound if bound >= -psd_tol else None
+
+
 def complete_positivity(
     phi: Superoperator, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, float, bool]:
+) -> tuple[np.ndarray, float, bool, bool]:
     """Choi matrix of a single-block map, the least eigenvalue of its
-    Hermitian part, and whether the map is completely positive: whether that
-    eigenvalue is >= -psd_tol and the map preserves Hermiticity within
-    ``eq_tol``, as the Choi matrix of a completely positive map is Hermitian.
-    Only the eigenvalues of the Hermitian part are computed, not its
+    Hermitian part H or a proven lower bound on it, whether the map is
+    completely positive, and whether the value is that bound.
+
+    The map is completely positive when the value is >= -psd_tol and the map
+    preserves Hermiticity within ``eq_tol``, as the Choi matrix of a
+    completely positive map is Hermitian. From side ``_FACTOR_MIN_SIDE`` on,
+    H is first factored by :func:`_factor_bound`: when a pivoted Cholesky
+    factor of rank at most 1/``_FACTOR_RANK_SHARE`` of the side leaves a
+    residual within psd_tol, the value is the factor's bound, at rounding
+    level below zero, and no eigenvalue is computed. Otherwise the value is
+    the least eigenvalue of H; only the eigenvalues are computed, not the
     eigenvectors."""
     choi = choi_matrix(phi)
-    # unchecked: entry (j, i) of C + C* is the exact conjugate of entry (i, j)
-    least = float(_lapack(np.linalg.eigvalsh, 0.5 * (choi + choi.conj().T))[0])
-    return choi, least, least >= -tol.psd_tol and _real_form(phi, tol) is not None
+    # unchecked: entry (j, i) of C* + C is the exact conjugate of entry (i, j).
+    # Row-major, as choi is, so the sum and the factor's row reads run in
+    # order
+    h = np.conjugate(choi.T, order="C")
+    h += choi
+    h *= 0.5
+    bound = _factor_bound(h, tol.psd_tol) if len(h) >= _FACTOR_MIN_SIDE else None
+    least = float(_lapack(np.linalg.eigvalsh, h)[0]) if bound is None else bound
+    completely_positive = least >= -tol.psd_tol and _real_form(phi, tol) is not None
+    return choi, least, completely_positive, bound is not None
 
 
 def _least_eigenpairs(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:

@@ -185,7 +185,7 @@ def criterion_03(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
         )
         falsifier = randomized_positivity_falsifier(phi, samples, seed, tol)
         worst["falsifier_min"] = min(worst["falsifier_min"], falsifier.min_output_eig)
-        _, least, _ = complete_positivity(phi, tol)
+        _, least, _, _ = complete_positivity(phi, tol)
         worst["choi_deviation"] = max(worst["choi_deviation"], abs(least - (-0.5)))
     passed = (
         all_ergodic

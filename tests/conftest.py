@@ -14,7 +14,7 @@ from perispec import (
     Tolerances,
     vectorize,
 )
-from perispec import superop
+from perispec import positivity, superop
 
 TEST_SEED = 987654321
 
@@ -42,6 +42,25 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(random_complex(rng, n, n))
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def mixed_unitary_choi(rng: np.random.Generator, n: int, k: int = 3) -> np.ndarray:
+    """Choi matrix sum_ij E_ij (x) phi(E_ij) of x -> sum_j w_j u_j x u_j* on
+    Mat(n), for k seeded unitaries and weights: u x u* sends E_ij to c_i c_j*,
+    c_i the columns of u, so its Choi matrix is q q* with q = u.T.ravel() the
+    columns stacked, and the sum has rank k."""
+    weights = rng.dirichlet(np.ones(k))
+    kraus = np.column_stack(
+        [np.sqrt(w) * random_unitary(rng, n).T.ravel() for w in weights]
+    )
+    return kraus @ kraus.conj().T
+
+
+def map_from_choi(choi: np.ndarray) -> Superoperator:
+    """The map on Mat(n) whose Choi matrix is ``choi``, of side n^2."""
+    n = int(round(np.sqrt(len(choi))))
+    matrix = choi.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    return Superoperator(BlockAlgebra((n,)), matrix)
 
 
 def random_element(algebra: BlockAlgebra, rng: np.random.Generator):
@@ -119,4 +138,25 @@ def route_calls(monkeypatch) -> list:
     monkeypatch.setattr(superop, "general_eig", recorded_eig)
     monkeypatch.setattr(superop, "_lapack", recorded_lapack)
     monkeypatch.setattr(superop, "_extra_starts", recorded_extra)
+    return calls
+
+
+def choi_route_calls(monkeypatch) -> list:
+    """Record, in call order, each pivoted Cholesky factor that
+    :func:`~perispec.positivity.complete_positivity` tries as "factor", and
+    each LAPACK routine that positivity calls itself by its name, such as
+    "eigvalsh"."""
+    calls = []
+    factor_bound, lapack = positivity._factor_bound, positivity._lapack
+
+    def recorded_factor(h, psd_tol):
+        calls.append("factor")
+        return factor_bound(h, psd_tol)
+
+    def recorded_lapack(routine, *args, **kwargs):
+        calls.append(routine.__name__)
+        return lapack(routine, *args, **kwargs)
+
+    monkeypatch.setattr(positivity, "_factor_bound", recorded_factor)
+    monkeypatch.setattr(positivity, "_lapack", recorded_lapack)
     return calls

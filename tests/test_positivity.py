@@ -41,10 +41,15 @@ from perispec import (
     randomized_positivity_falsifier,
     vectorize,
 )
+from perispec import positivity
+from perispec.analysis import analyze
 
 from conftest import (
+    choi_route_calls,
     from_action,
     hermiticity_breaking_map,
+    map_from_choi,
+    mixed_unitary_choi,
     random_complex,
     random_hermitian,
     random_psd,
@@ -764,12 +769,12 @@ def test_choi_matrix_equals_the_matrix_unit_loop(n):
 
 def test_complete_positivity_verdicts():
     phi, _ = build_example1(np.exp(2j * np.pi / 5))
-    choi, least, completely_positive = complete_positivity(phi)
+    choi, least, completely_positive, _ = complete_positivity(phi)
     assert np.array_equal(choi, choi_matrix(phi))
     assert least == pytest.approx(-0.5, abs=1e-12)
     assert not completely_positive
     algebra = BlockAlgebra((3,))
-    _, least, completely_positive = complete_positivity(
+    _, least, completely_positive, _ = complete_positivity(
         Superoperator(algebra, np.eye(algebra.dim))
     )
     assert least == pytest.approx(0.0, abs=1e-12)
@@ -778,13 +783,107 @@ def test_complete_positivity_verdicts():
 
 def test_a_map_that_breaks_hermiticity_is_not_completely_positive():
     phi = hermiticity_breaking_map()
-    choi, least, completely_positive = complete_positivity(phi)
+    choi, least, completely_positive, _ = complete_positivity(phi)
     assert max_norm(choi - choi.conj().T) == pytest.approx(0.2)
     # the Hermitian part of the Choi matrix alone would pass
     assert least >= -DEFAULT_TOL.psd_tol
     assert not completely_positive
     # outside eq_tol the same map passes
     assert complete_positivity(phi, Tolerances(eq_tol=0.5))[2]
+
+
+def _conjugation(u: np.ndarray) -> Superoperator:
+    return Superoperator(BlockAlgebra((len(u),)), np.kron(u, u.conj()))
+
+
+def _transpose_map(n: int) -> Superoperator:
+    # Choi matrix: the swap, with eigenvalues 1 and -1
+    algebra = BlockAlgebra((n,))
+    return from_action(algebra, lambda x: algebra.element([p.T for p in x.parts]))
+
+
+# Choi side n^2 from 36 on, Choi rank at most n^2 / 8: the rank 1 of a
+# conjugation, the Kraus rank of a mixed-unitary channel, and the cap itself
+FACTOR_ROUTE_MAPS = {
+    **{
+        f"mixed-unitary-n{n}": (lambda n=n: map_from_choi(mixed_unitary_choi(rng_for(49, n), n)))
+        for n in (6, 8, 12)
+    },
+    **{
+        f"conjugation-n{n}": (lambda n=n: _conjugation(random_unitary(rng_for(50, n), n)))
+        for n in (6, 10)
+    },
+    "real-orthogonal-conjugation-n7": lambda: _conjugation(
+        np.linalg.qr(rng_for(51).standard_normal((7, 7)))[0]
+    ),
+    "kraus-rank-8-n8": lambda: map_from_choi(mixed_unitary_choi(rng_for(52), 8, 8)),
+}
+
+# full rank, rank one over the cap, no positive diagonal, and a negative
+# eigenvalue
+FALLBACK_ROUTE_MAPS = {
+    "trace-mixed-n6": lambda: map_from_choi(
+        0.9 * mixed_unitary_choi(rng_for(53), 6) + 0.1 / 6 * np.eye(36)
+    ),
+    "kraus-rank-9-n8": lambda: map_from_choi(mixed_unitary_choi(rng_for(52), 8, 9)),
+    "negated-channel-n6": lambda: map_from_choi(-mixed_unitary_choi(rng_for(54), 6)),
+    "transpose-n6": lambda: _transpose_map(6),
+}
+
+
+def _hermitian_part_least(choi: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0])
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_ROUTE_MAPS))
+def test_a_low_rank_choi_matrix_is_proved_psd_without_eigenvalues(name, monkeypatch, tol):
+    phi = FACTOR_ROUTE_MAPS[name]()
+    assert phi.algebra.dim >= positivity._FACTOR_MIN_SIDE
+    calls = choi_route_calls(monkeypatch)
+    choi, least, completely_positive, certified = complete_positivity(phi, tol)
+    assert calls == ["factor"]
+    assert certified and completely_positive and type(least) is float
+    # a lower bound on the least eigenvalue, at rounding level below it
+    reference = _hermitian_part_least(choi)
+    assert least <= reference and reference - least <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_ROUTE_MAPS))
+def test_other_choi_matrices_fall_back_to_eigvalsh_bit_for_bit(name, monkeypatch, tol):
+    phi = FALLBACK_ROUTE_MAPS[name]()
+    assert phi.algebra.dim >= positivity._FACTOR_MIN_SIDE
+    calls = choi_route_calls(monkeypatch)
+    choi, least, completely_positive, certified = complete_positivity(phi, tol)
+    assert calls == ["factor", "eigvalsh"] and not certified
+    assert least == _hermitian_part_least(choi)
+    assert completely_positive is (least >= -tol.psd_tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_below_the_floor_the_factor_is_never_tried(n, monkeypatch, tol):
+    phi = map_from_choi(mixed_unitary_choi(rng_for(55, n), n))
+    assert phi.algebra.dim < positivity._FACTOR_MIN_SIDE
+    calls = choi_route_calls(monkeypatch)
+    choi, least, completely_positive, certified = complete_positivity(phi, tol)
+    assert calls == ["eigvalsh"] and not certified and completely_positive
+    assert least == _hermitian_part_least(choi)
+
+
+def test_the_zero_map_is_proved_cp_at_positive_zero(monkeypatch):
+    calls = choi_route_calls(monkeypatch)
+    _, least, completely_positive, certified = complete_positivity(
+        Superoperator(BlockAlgebra((6,)), np.zeros((36, 36)))
+    )
+    assert calls == ["factor"] and certified and completely_positive
+    # the value eigvalsh gives, not -0.0
+    assert least == 0.0 and np.copysign(1.0, least) == 1.0
+
+
+def test_analyze_names_the_factor_route_only_where_it_decided():
+    proved = analyze(FACTOR_ROUTE_MAPS["conjugation-n6"](), samples=50)
+    measured = analyze(FALLBACK_ROUTE_MAPS["trace-mixed-n6"](), samples=50)
+    assert proved["complete_positivity"]["method"].startswith("pivoted Cholesky factor")
+    assert measured["complete_positivity"]["method"] == "least eigenvalue of the Choi matrix"
 
 
 def test_choi_matrix_rejects_multi_block_algebras():

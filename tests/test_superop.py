@@ -444,6 +444,9 @@ def test_certified_route_matches_the_eig_route(name, monkeypatch, tol):
     assert top.real > 0 and abs(top.imag) <= 1e-15
     assert element_norm(state.rho - reference_state.rho) <= tol.eq_tol
     assert state.faithful is reference_state.faithful
+    choi = choi_matrix(phi)
+    least = np.linalg.eigh(0.5 * (choi + choi.conj().T))[0][0]
+    assert abs(complete_positivity(phi, tol)[1] - least) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])

@@ -17,6 +17,7 @@ from perispec import (
     Tolerances,
     build_example2,
     classify_eigenvector,
+    complete_positivity,
     invariant_state,
     point_spectrum,
     randomized_positivity_falsifier,
@@ -24,7 +25,7 @@ from perispec import (
 from perispec import superop
 from perispec.superop import MERGE_TOL, PERIPHERAL_TOL
 
-from conftest import route_calls
+from conftest import map_from_choi, mixed_unitary_choi, rng_for, route_calls
 
 GENERIC = np.exp(2j * np.pi / 5)
 
@@ -219,3 +220,35 @@ def test_gap_certificate_never_applies_at_a_peripheral_tol_of_one_or_more(monkey
     assert "eigvalsh" not in calls and "general_eig" in calls
     assert spectrum.dimensions == (_DIAGONAL_DIM - 2, 1, 1)
     _assert_same_points(spectrum, _eig_route(monkeypatch, phi, peripheral_tol=2.0))
+
+
+# A seeded channel on M8 (Choi side 64) whose Choi matrix C, of rank 3, gets
+# -delta v v* for a unit vector v with C v = 0: v is an eigenvector of
+# C - delta v v* at -delta, and every other eigenvalue is one of C's, >= 0.
+# So the least Choi eigenvalue is exactly -delta.
+def _planted_channel(delta: float) -> Superoperator:
+    rng = rng_for(48)
+    choi = mixed_unitary_choi(rng, 8)
+    q = np.linalg.eigh(choi)[1][:, -3:]
+    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    v -= q @ (q.conj().T @ v)
+    v /= np.linalg.norm(v)
+    return map_from_choi(choi - delta * np.outer(v, v.conj()))
+
+
+# delta = 1e-9 is left out: its least eigenvalue, -1e-9, sits on psd_tol.
+@pytest.mark.parametrize("delta", [1e-6, 1e-8, 2e-9, 5e-10, 1e-10])
+def test_planted_choi_margin_is_cp_exactly_when_delta_is_within_psd_tol(delta):
+    tol = Tolerances()
+    _, least, completely_positive, _ = complete_positivity(_planted_channel(delta), tol)
+    assert abs(least - (-delta)) <= 1e-12
+    assert completely_positive is (delta <= tol.psd_tol)
+
+
+def test_a_channel_mixed_with_the_trace_map_has_least_choi_eigenvalue_one_eightieth():
+    # x -> tr(x) 1/8 has Choi matrix 1/8, so 0.9 C + 0.1 (1/8) has full rank
+    # and its least eigenvalue, where C vanishes, is 0.1 / 8
+    choi = 0.9 * mixed_unitary_choi(rng_for(48), 8) + 0.1 / 8 * np.eye(64)
+    _, least, completely_positive, certified = complete_positivity(map_from_choi(choi))
+    assert abs(least - 0.1 / 8) <= 1e-12
+    assert completely_positive and not certified
