@@ -43,7 +43,7 @@ from .superop import (
     unitality_check,
 )
 
-__all__ = ["analyze", "classification_entry", "tolerances_entry"]
+__all__ = ["analyze", "choi_method", "classification_entry", "tolerances_entry"]
 
 STANDARD_SAMPLES = 10000
 
@@ -89,8 +89,16 @@ def classification_entry(result: Classification | PerispecError) -> dict:
 
 
 def _positivity_entry(
-    phi: Superoperator, samples: int, seed: int, tol: Tolerances
+    phi: Superoperator, samples: int, seed: int, tol: Tolerances, complete: dict
 ) -> dict:
+    """The seesaw's evidence, or the proof in ``complete``, the
+    ``complete_positivity`` entry, when it proves complete positivity."""
+    if complete.get("method") == _CERTIFIED_CHOI and complete["completely_positive"]:
+        return {
+            "method": _POSITIVE_BY_CHOI,
+            "passed": True,
+            "choi_lower_bound": complete["choi_min_eigenvalue"],
+        }
     result = randomized_positivity_falsifier(phi, samples=samples, seed=seed, tol=tol)
     return {
         "method": "seesaw descent over seeded pure inputs, one input and one "
@@ -110,6 +118,20 @@ _CERTIFIED_CHOI = (
     "and a rounding allowance"
 )
 
+_POSITIVE_BY_CHOI = (
+    "proved from the pivoted Cholesky bound of complete_positivity: for unit "
+    "x and y, <y, phi(x x*) y> = <conj(x) (x) y, C conj(x) (x) y> for the "
+    "Choi matrix C, so no output eigenvalue at a pure input lies below the "
+    "proven lower bound on the least eigenvalue of C, which is at least "
+    "-psd_tol; no input is sampled"
+)
+
+
+def choi_method(certified: bool) -> str:
+    """How a Choi value from :func:`~perispec.positivity.complete_positivity`
+    was reached, by its fourth value ``certified``."""
+    return _CERTIFIED_CHOI if certified else "least eigenvalue of the Choi matrix"
+
 
 def _complete_positivity_entry(phi: Superoperator, tol: Tolerances) -> dict:
     try:
@@ -118,7 +140,7 @@ def _complete_positivity_entry(phi: Superoperator, tol: Tolerances) -> dict:
         return {"supported": False, "reason": str(exc)}
     return {
         "supported": True,
-        "method": _CERTIFIED_CHOI if certified else "least eigenvalue of the Choi matrix",
+        "method": choi_method(certified),
         "choi_min_eigenvalue": least,
         "completely_positive": completely_positive,
     }
@@ -247,15 +269,22 @@ def analyze(
     manifest: ExampleManifest | None = None,
     t: float | None = None,
 ) -> dict:
-    """Full analysis report for a map, optionally with its continuous family."""
+    """Full analysis report for a map, optionally with its continuous family.
+
+    Complete positivity is decided first. When the Choi matrix's pivoted
+    Cholesky bound proves it, that proof is also the ``positivity`` section
+    and the seesaw falsifier does not run; otherwise, also where the least
+    Choi eigenvalue decided, the seesaw gives the section's evidence.
+    """
     spectrum = point_spectrum(phi, tol, peripheral_tol, merge_tol)
+    complete = _complete_positivity_entry(phi, tol)
     report = {
         "algebra": {"blocks": list(phi.algebra.blocks)},
         "tolerances": tolerances_entry(tol, peripheral_tol, merge_tol),
         "versions": _versions_entry(),
         "unital": bool(unitality_check(phi, tol)),
-        "positivity": _positivity_entry(phi, samples, seed, tol),
-        "complete_positivity": _complete_positivity_entry(phi, tol),
+        "positivity": _positivity_entry(phi, samples, seed, tol, complete),
+        "complete_positivity": complete,
         "ergodic": bool(ergodicity_check(phi, tol, spectrum)),
         "invariant_state": _invariant_state_entry(phi, spectrum, tol),
         "point_spectrum": _spectrum_entry(spectrum),

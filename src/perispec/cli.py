@@ -28,7 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import DEFAULT_TOL, Tolerances, vectorize
-from .analysis import STANDARD_SAMPLES, analyze, classification_entry, tolerances_entry
+from .analysis import (
+    STANDARD_SAMPLES,
+    analyze,
+    choi_method,
+    classification_entry,
+    tolerances_entry,
+)
 from .errors import (
     BadLambda0,
     LambdaNotInSpectrum,
@@ -350,10 +356,11 @@ def cmd_positivity(args: argparse.Namespace) -> int:
 def cmd_choi(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     loaded = load_map_file(args.mapfile, t=args.t)
-    choi, least, completely_positive, _ = complete_positivity(loaded.phi, tol)
+    choi, least, completely_positive, certified = complete_positivity(loaded.phi, tol)
     report = {
         "algebra": {"blocks": list(loaded.phi.algebra.blocks)},
         "choi": matrix_to_json(choi),
+        "method": choi_method(certified),
         "min_eigenvalue": least,
         "completely_positive": completely_positive,
     }

@@ -353,27 +353,44 @@ def _identity_vector(algebra: BlockAlgebra) -> np.ndarray:
     return np.concatenate([np.eye(n).reshape(-1) for n in algebra.blocks])
 
 
-def _fixed_space(a: np.ndarray, starts: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _kernel_bound(a: np.ndarray, tol: Tolerances) -> float:
+    """The largest singular value that a direction of the kernel of ``a`` -
+    id may have: ``rank_tol`` times the largest column norm of a - id, a
+    lower bound on its largest singular value. Column j has squared norm
+    |a_j|^2 - 2 Re a_jj + 1, so no d x d temporary is formed."""
+    squares = np.einsum("ij,ij->j", a.real, a.real)
+    if np.iscomplexobj(a):
+        squares += np.einsum("ij,ij->j", a.imag, a.imag)
+    squares -= 2.0 * a.diagonal().real
+    squares += 1.0
+    return tol.rank_tol * math.sqrt(max(float(squares.max()), 0.0))
+
+
+def _passes_kernel_rule(a: np.ndarray, unit: np.ndarray, bound: float) -> bool:
+    """Whether the unit vector ``unit`` is a kernel direction of ``a`` - id by
+    the rule of :func:`_fixed_space`, with ``bound`` from
+    :func:`_kernel_bound`."""
+    return float(np.linalg.norm(a @ unit - unit)) <= bound
+
+
+def _fixed_space(a: np.ndarray, starts: np.ndarray, bound: float) -> np.ndarray:
     """Orthonormal columns spanning the kernel of ``a`` - id, found by
     inverse iteration from the columns of ``starts``.
 
     Two solves with (a - (1 + shift) id) turn the starts towards the
     eigenvectors of ``a`` at and near 1, and the left singular vectors of
     the result make them an orthonormal Q. A thin SVD of (a - id) Q keeps
-    the directions of Q whose singular value is at most ``rank_tol`` times
-    the largest column norm of a - id, a lower bound on its largest
-    singular value. So by interlacing the kernel found is no larger than the
-    one that :func:`~perispec.algebra.null_space` of a - id finds. Every
-    decomposition is d x m for m starts, not d x d.
+    the directions of Q whose singular value is at most ``bound``, from
+    :func:`_kernel_bound`. So by interlacing the kernel found is no larger
+    than the one that :func:`~perispec.algebra.null_space` of a - id finds.
+    Every decomposition is d x m for m starts, not d x d.
     """
     shifted = np.array(a)
     shifted.flat[:: len(a) + 1] -= 1.0 + _SHIFT
     y = _lapack(np.linalg.solve, shifted, _lapack(np.linalg.solve, shifted, starts))
     q = _lapack(np.linalg.svd, y, full_matrices=False)[0]
     _, s, vh = _lapack(np.linalg.svd, shifted @ q + _SHIFT * q, full_matrices=False)
-    column_norm = math.sqrt(float(np.max(np.sum(np.abs(shifted) ** 2, axis=0))))
-    lower = max(column_norm - _SHIFT, 0.0)
-    return q @ vh[s <= tol.rank_tol * lower].conj().T
+    return q @ vh[s <= bound].conj().T
 
 
 def _single_peripheral(
@@ -389,9 +406,12 @@ def _single_peripheral(
     two orthonormal columns bound s1 and s2 from below, so when their
     product already reaches that target the certificate is not tried: every
     isometry stops there at O(d^2) cost. Otherwise s1 and s2 come from the
-    eigenvalues of a* a. When they certify, :func:`_fixed_space` at 1, from
-    the identity of ``algebra`` and the two extra starts, must find a
-    one-dimensional kernel whose Rayleigh quotient is peripheral.
+    eigenvalues of a* a. When they certify, the kernel of a - id must be
+    one-dimensional and its Rayleigh quotient peripheral. On a unital map
+    the normalized identity of ``algebra`` is that kernel, and is taken when
+    it passes the kernel rule of :func:`_fixed_space`; otherwise
+    :func:`_fixed_space` at 1 searches from the identity and the two extra
+    starts.
     """
     d = len(a)
     target = max(1.0 - peripheral_tol, 0.0) ** 2
@@ -417,11 +437,23 @@ def _single_peripheral(
     top = np.maximum(w[-2:] + slack, 0.0)
     if math.sqrt(top[0] * top[1]) >= target:
         return None
-    starts = np.column_stack([_identity_vector(algebra), extra])
-    kernel = _fixed_space(a, starts, tol)
-    if kernel.shape[1] != 1:
-        return None
-    vector = kernel[:, 0]
+    # The kernel rule keeps a unit x when |(a - id) x| <= e, e = bound. Two
+    # singular values of a - id at most e would give a plane of unit x with
+    # |(a - id) x| <= e, hence |a x| >= 1 - e, and by the minimax theorem
+    # s1 s2 >= s2^2 >= (1 - e)^2, which the certificate excludes as long as
+    # e <= peripheral_tol. So the kernel is one-dimensional, and on a unital
+    # map the normalized identity u = 1 / |1| passes the rule and is taken
+    # without a search.
+    bound = _kernel_bound(a, tol)
+    identity = _identity_vector(algebra)
+    one = identity / math.sqrt(algebra.total_size)
+    if bound <= peripheral_tol and _passes_kernel_rule(a, one, bound):
+        vector = one
+    else:
+        kernel = _fixed_space(a, np.column_stack([identity, extra]), bound)
+        if kernel.shape[1] != 1:
+            return None
+        vector = kernel[:, 0]
     value = complex(np.vdot(vector, a @ vector))
     if abs(abs(value) - 1.0) > peripheral_tol:
         return None
@@ -540,7 +572,10 @@ def invariant_state(
     The candidate is the orthogonal projection of the maximally mixed state
     onto the dual fixed space, which is again a fixed point; it is then
     verified against the map's matrix to be Hermitian, fixed, positive
-    semidefinite, and of unit trace.
+    semidefinite, and of unit trace. When the maximally mixed state itself
+    passes the kernel rule of :func:`_fixed_space` for the dual, as on every
+    trace-preserving map, it lies in the dual fixed space and is its own
+    projection, so it is the candidate and no kernel is searched.
     """
     if spectrum is None:
         spectrum = point_spectrum(phi, tol)
@@ -548,23 +583,29 @@ def invariant_state(
     if fixed is None:
         raise NoPositiveFixedState("the dual map has no fixed point")
     algebra = phi.algebra
-    # the vectorization of the maximally mixed state
+    # the vectorization of the maximally mixed state, which is also its
+    # coordinates in the Hermitian basis
     mixed = _identity_vector(algebra)
     mixed *= 1.0 / algebra.total_size
-    basis = np.array([vectorize(x) for x in fixed.basis]).T
-    extra = _extra_starts(algebra.dim)
     real = _real_form(phi, tol)
-    if real is None:
-        dual, starts = phi.matrix.conj().T, [basis, extra]
+    dual = phi.matrix.conj().T if real is None else real.T
+    bound = _kernel_bound(dual, tol)
+    if _passes_kernel_rule(dual, mixed * math.sqrt(algebra.total_size), bound):
+        projected = mixed
     else:
-        coordinates = to_hermitian_basis(algebra, basis)
-        dual, starts = real.T, [coordinates.real, coordinates.imag, extra]
-    kernel = _fixed_space(dual, np.concatenate(starts, axis=1), tol)
-    if kernel.shape[1] == 0:
-        raise NoPositiveFixedState("the dual map has no fixed point")
-    projected = kernel @ (kernel.conj().T @ mixed)
-    if real is not None:
-        projected = from_hermitian_basis(algebra, projected)
+        basis = np.array([vectorize(x) for x in fixed.basis]).T
+        extra = _extra_starts(algebra.dim)
+        if real is None:
+            starts = [basis, extra]
+        else:
+            coordinates = to_hermitian_basis(algebra, basis)
+            starts = [coordinates.real, coordinates.imag, extra]
+        kernel = _fixed_space(dual, np.concatenate(starts, axis=1), bound)
+        if kernel.shape[1] == 0:
+            raise NoPositiveFixedState("the dual map has no fixed point")
+        projected = kernel @ (kernel.conj().T @ mixed)
+        if real is not None:
+            projected = from_hermitian_basis(algebra, projected)
     # the checks run on plain arrays: no entry exceeds 1 / eq_tol, so none
     # needs the overflow check of element arithmetic
     parts = _devectorize(algebra, projected).parts

@@ -56,6 +56,17 @@ def mixed_unitary_choi(rng: np.random.Generator, n: int, k: int = 3) -> np.ndarr
     return kraus @ kraus.conj().T
 
 
+def unital_kraus_map(rng: np.random.Generator, n: int, k: int = 3) -> Superoperator:
+    """x -> sum_j K_j x K_j* on Mat(n), the K_j the n x n column blocks of the
+    first n rows of a seeded unitary on C^(k n): the rows are orthonormal, so
+    sum K K* = 1 and the map is unital and completely positive, while
+    generically sum K* K != 1 and it does not preserve the trace. Row-major,
+    vec(K x K*) = kron(K, conj(K)) vec(x)."""
+    rows = random_unitary(rng, k * n)[:n]
+    kraus = [rows[:, j * n : (j + 1) * n] for j in range(k)]
+    return Superoperator(BlockAlgebra((n,)), sum(np.kron(c, c.conj()) for c in kraus))
+
+
 def map_from_choi(choi: np.ndarray) -> Superoperator:
     """The map on Mat(n) whose Choi matrix is ``choi``, of side n^2."""
     n = int(round(np.sqrt(len(choi))))

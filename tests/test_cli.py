@@ -16,7 +16,7 @@ from perispec import (
 )
 from perispec.cli import main
 
-from conftest import hermiticity_breaking_map
+from conftest import hermiticity_breaking_map, map_from_choi, mixed_unitary_choi, rng_for
 
 GENERIC = [float(np.cos(2 * np.pi / 5)), float(np.sin(2 * np.pi / 5))]
 # an integer literal beyond the float range (about 1.8e308)
@@ -231,6 +231,23 @@ def test_choi_on_single_block_map(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["completely_positive"] is False
     assert report["min_eigenvalue"] == pytest.approx(-0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, certified", [(4, False), (6, True)])
+def test_choi_names_how_its_value_was_reached(n, certified, tmp_path, capsys):
+    # a seeded channel: below Choi side 36 eigvalsh decides, from it on the
+    # pivoted Cholesky factor's proven bound, as analyze says
+    path = tmp_path / "channel.json"
+    phi = map_from_choi(mixed_unitary_choi(rng_for(64, n), n))
+    path.write_text(dump_json(explicit_map_dict(phi)))
+    assert main(["choi", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["analyze", str(path), *FAST]) == 0
+    entry = json.loads(capsys.readouterr().out)["complete_positivity"]
+    assert report["method"] == entry["method"]
+    assert report["method"].startswith("pivoted Cholesky factor") is certified
+    assert report["min_eigenvalue"] == entry["choi_min_eigenvalue"]
+    assert report["completely_positive"] is entry["completely_positive"] is True
 
 
 def test_choi_and_analyze_reject_a_map_that_breaks_hermiticity(tmp_path, capsys):

@@ -23,6 +23,7 @@ from perispec import (
     Tolerances,
     assemble,
     build_example1,
+    build_example2,
     choi_matrix,
     complete_positivity,
     congruence,
@@ -41,7 +42,7 @@ from perispec import (
     randomized_positivity_falsifier,
     vectorize,
 )
-from perispec import positivity
+from perispec import analysis, positivity
 from perispec.analysis import analyze
 
 from conftest import (
@@ -884,6 +885,65 @@ def test_analyze_names_the_factor_route_only_where_it_decided():
     measured = analyze(FALLBACK_ROUTE_MAPS["trace-mixed-n6"](), samples=50)
     assert proved["complete_positivity"]["method"].startswith("pivoted Cholesky factor")
     assert measured["complete_positivity"]["method"] == "least eigenvalue of the Choi matrix"
+
+
+def _falsifier_calls(monkeypatch) -> list:
+    """Record each map that analyze hands to the seesaw falsifier."""
+    calls = []
+    falsifier = analysis.randomized_positivity_falsifier
+
+    def recorded(phi, **kwargs):
+        calls.append(phi)
+        return falsifier(phi, **kwargs)
+
+    monkeypatch.setattr(analysis, "randomized_positivity_falsifier", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_ROUTE_MAPS))
+def test_analyze_takes_positivity_from_a_proof_of_complete_positivity(name, monkeypatch):
+    calls = _falsifier_calls(monkeypatch)
+    report = analyze(FACTOR_ROUTE_MAPS[name](), samples=50)
+    complete = report["complete_positivity"]
+    assert calls == []
+    assert complete["completely_positive"] is True
+    assert complete["method"] == analysis.choi_method(True)
+    assert report["positivity"] == {
+        "method": analysis._POSITIVE_BY_CHOI,
+        "passed": True,
+        "choi_lower_bound": complete["choi_min_eigenvalue"],
+    }
+
+
+SEESAW_MAPS = {
+    # completely positive, but decided by eigvalsh below the factor's floor
+    "conjugation-n4": lambda: _conjugation(random_unitary(rng_for(50, 4), 4)),
+    "ex1-generic": lambda: build_example1(np.exp(2j * np.pi / 5))[0],
+    # on two blocks, where no Choi matrix is formed
+    "ex2-generic": lambda: build_example2(np.exp(2j * np.pi / 5))[0],
+    **FALLBACK_ROUTE_MAPS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEESAW_MAPS))
+def test_analyze_keeps_the_seesaw_where_complete_positivity_is_not_proved(
+    name, monkeypatch
+):
+    phi = SEESAW_MAPS[name]()
+    calls = _falsifier_calls(monkeypatch)
+    report = analyze(phi, seed=7, samples=50)
+    assert calls == [phi]
+    result = randomized_positivity_falsifier(phi, samples=50, seed=7)
+    assert report["positivity"] == {
+        "method": "seesaw descent over seeded pure inputs, one input and one "
+        "output block at a time; a clean sweep is evidence, not a proof",
+        "confidence": "reduced",
+        "passed": result.passed,
+        "min_output_eig": result.min_output_eig,
+        "max_hermiticity_defect": result.max_hermiticity_defect,
+        "samples": result.samples,
+        "seed": 7,
+    }
 
 
 def test_choi_matrix_rejects_multi_block_algebras():

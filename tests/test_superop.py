@@ -3,6 +3,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from conftest import (
     random_unitary,
     rng_for,
     route_calls,
+    unital_kraus_map,
 )
 
 GENERIC = np.exp(2j * np.pi / 5)
@@ -426,7 +428,11 @@ def test_certified_route_matches_the_eig_route(name, monkeypatch, tol):
     assert (superop._real_form(phi, tol) is None) is name.startswith("complex-route")
     calls = route_calls(monkeypatch)
     spectrum = point_spectrum(phi, tol)
-    assert calls[:2] == ["extra_starts", "eigvalsh"] and "general_eig" not in calls
+    # every map here is unital, so the identity is the eigenvector, found
+    # without inverse iteration
+    assert calls == ["extra_starts", "eigvalsh"]
+    one = vectorize(phi.algebra.identity()) / math.sqrt(phi.algebra.total_size)
+    assert max_norm(_basis_columns(spectrum.points[0])[:, 0] - one) <= 1e-15
     state = invariant_state(phi, tol, spectrum)
 
     monkeypatch.setattr(superop, "_CERTIFICATE_MIN_DIM", math.inf)
@@ -447,6 +453,55 @@ def test_certified_route_matches_the_eig_route(name, monkeypatch, tol):
     choi = choi_matrix(phi)
     least = np.linalg.eigh(0.5 * (choi + choi.conj().T))[0][0]
     assert abs(complete_positivity(phi, tol)[1] - least) <= 1e-12
+
+
+def test_a_kernel_bound_above_the_peripheral_tol_declines_the_identity(monkeypatch):
+    # the kernel rule's bound rank_tol * (largest column norm of a - id)
+    # exceeds peripheral_tol, so it no longer excludes a second kernel
+    # direction, and the search runs as it would without the candidate
+    tol = Tolerances(rank_tol=1e-6)
+    phi = _seeded_mixed_unitary(8)
+    real = superop._real_form(phi, tol)
+    assert superop._kernel_bound(real, tol) > superop.PERIPHERAL_TOL
+    tried, searches = [], []
+    rule, fixed_space = superop._passes_kernel_rule, superop._fixed_space
+
+    def recorded_rule(*args):
+        tried.append(args)
+        return rule(*args)
+
+    def recorded_search(*args):
+        searches.append(args[2])
+        return fixed_space(*args)
+
+    monkeypatch.setattr(superop, "_passes_kernel_rule", recorded_rule)
+    monkeypatch.setattr(superop, "_fixed_space", recorded_search)
+    spectrum = point_spectrum(phi, tol)
+    assert tried == [] and searches == [superop._kernel_bound(real, tol)]
+    assert spectrum.dimensions == (1,) and abs(spectrum.values[0] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_kernel_bound_is_the_largest_column_norm_without_a_square_temporary(
+    transpose, dtype, tol
+):
+    d = 200
+    rng = rng_for(62, int(transpose))
+    a = np.eye(d) + 0.1 * rng.standard_normal((d, d))
+    if dtype is np.complex128:
+        a = a + 0.1j * rng.standard_normal((d, d))
+    a = a.T if transpose else a
+    want = tol.rank_tol * np.linalg.norm(a - np.eye(d), axis=0).max()
+    tracemalloc.start()
+    try:
+        bound = superop._kernel_bound(a, tol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound == pytest.approx(want, rel=1e-12)
+    # a few length-d vectors, far below one d x d float64 matrix (320 kB)
+    assert peak < 8 * d * d // 10
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
@@ -553,6 +608,8 @@ INVARIANT_STATE_MAPS = {
     "mixed-unitary-n8": lambda: _seeded_mixed_unitary(8),
     "diagonal-reader": _diagonal_reader,
     "shrink": lambda: Superoperator(BlockAlgebra((2,)), 0.5 * np.eye(4)),
+    # unital but not trace preserving, so the dual fixes another state
+    "unital-kraus-n4": lambda: unital_kraus_map(rng_for(60, 4), 4),
 }
 
 
@@ -589,27 +646,44 @@ def test_invariant_state_of_a_map_that_fixes_a_pure_state(tol):
 
 
 @pytest.mark.parametrize(
-    "name", ["ex2-generic", "ex2c-t0.5", "conjugation-n4", "mixed-unitary-n8"]
+    "name",
+    ["ex2-generic", "ex2c-t0.5", "conjugation-n4", "mixed-unitary-n8", "unital-kraus-n4"],
 )
 def test_invariant_state_with_a_spectrum_runs_no_square_svd(name, monkeypatch, tol):
-    # maps with more dimensions than starts, so a thin SVD is not square
+    # the dual of a trace-preserving map fixes the maximally mixed state, so
+    # no kernel is searched and no SVD runs; the unital Kraus map searches
+    # one, and has more dimensions than starts, so each thin SVD is not square
     phi = INVARIANT_STATE_MAPS[name]()
+    one = vectorize(phi.algebra.identity())
+    trace_preserving = max_norm(phi.matrix.conj().T @ one - one) <= tol.eq_tol
+    assert trace_preserving is (name != "unital-kraus-n4")
     spectrum = point_spectrum(phi, tol)
-    shapes = []
-    svd = np.linalg.svd
+    shapes, searches = [], []
+    svd, fixed_space = np.linalg.svd, superop._fixed_space
 
     def recorded_svd(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    def recorded_search(a, *args):
+        searches.append(np.shape(a))
+        return fixed_space(a, *args)
+
     def no_null_space(*args, **kwargs):
         raise AssertionError("null_space called")
 
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    monkeypatch.setattr(superop, "_fixed_space", recorded_search)
     monkeypatch.setattr(superop, "null_space", no_null_space)
-    invariant_state(phi, tol, spectrum)
+    state = invariant_state(phi, tol, spectrum)
     d = phi.algebra.dim
-    assert shapes and all(rows == d and cols < d for rows, cols in shapes)
+    if trace_preserving:
+        assert searches == [] and shapes == []
+        for part, n in zip(state.rho.parts, phi.algebra.blocks):
+            assert max_norm(part - np.eye(n) / phi.algebra.total_size) <= 1e-15
+    else:
+        assert searches == [(d, d)]
+        assert shapes and all(rows == d and cols < d for rows, cols in shapes)
 
 
 def test_analyze_computes_the_spectrum_once(monkeypatch):

@@ -12,13 +12,16 @@ import pytest
 from perispec import (
     BlockAlgebra,
     CaseII,
+    NoPositiveFixedState,
     ProjectionMismatch,
     Superoperator,
     Tolerances,
     build_example2,
     classify_eigenvector,
     complete_positivity,
+    element_norm,
     invariant_state,
+    max_norm,
     point_spectrum,
     randomized_positivity_falsifier,
 )
@@ -252,3 +255,77 @@ def test_a_channel_mixed_with_the_trace_map_has_least_choi_eigenvalue_one_eighti
     _, least, completely_positive, certified = complete_positivity(map_from_choi(choi))
     assert abs(least - 0.1 / 8) <= 1e-12
     assert completely_positive and not certified
+
+
+# (1 + delta) times a seeded unital, trace-preserving channel on M8: the map
+# fixes 1 and its dual fixes the maximally mixed state m up to the factor
+# 1 + delta, so each candidate's residual under the kernel rule is exactly
+# delta. The rule's bound is rank_tol times the largest column norm of
+# a - id, a = the map's real form R for the identity and R^T for the dual;
+# the rows sit at half and at twice the unscaled bound. The certificate
+# holds on every row (s1 s2 <= (1 + 2e-8) 0.935), and 1 + delta is within
+# merge_tol of 1, so the spectrum has its point at 1 on both sides.
+def _scaled_channel(delta: float) -> Superoperator:
+    return map_from_choi((1.0 + delta) * mixed_unitary_choi(rng_for(63), 8))
+
+
+def _rule_bound(phi: Superoperator, tol: Tolerances, axis: int) -> float:
+    # axis 0: the columns of R - id; axis 1: its rows, the columns of R^T - id
+    real = phi.hermitian_form[0]
+    return tol.rank_tol * float(np.linalg.norm(real - np.eye(len(real)), axis=axis).max())
+
+
+def _state_or_error(phi, tol, spectrum):
+    try:
+        return invariant_state(phi, tol, spectrum)
+    except NoPositiveFixedState as exc:
+        return exc
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_dual_takes_the_mixed_state_exactly_when_its_residual_is_within_the_rule(
+    ratio, monkeypatch
+):
+    tol = Tolerances()
+    delta = ratio * _rule_bound(_scaled_channel(0.0), tol, axis=1)
+    phi = _scaled_channel(delta)
+    taken = delta <= _rule_bound(phi, tol, axis=1)
+    assert taken is (ratio < 1.0)
+    spectrum = point_spectrum(phi, tol)
+    assert spectrum.dimensions == (1,) and abs(spectrum.values[0] - 1.0) <= 1e-7
+    searches = []
+    fixed_space = superop._fixed_space
+    monkeypatch.setattr(
+        superop, "_fixed_space", lambda *args: searches.append(1) or fixed_space(*args)
+    )
+    state = _state_or_error(phi, tol, spectrum)
+    assert (searches == []) is taken
+    monkeypatch.setattr(superop, "_passes_kernel_rule", lambda *args: False)
+    reference = _state_or_error(phi, tol, spectrum)
+    assert type(state) is type(reference)
+    if taken:
+        # the search keeps m's direction too: its singular value is delta
+        assert element_norm(state.rho - reference.rho) <= tol.eq_tol
+        assert max_norm(state.rho.parts[0] - np.eye(8) / 8) <= 1e-15
+    else:
+        # and above the bound it keeps nothing
+        assert isinstance(state, NoPositiveFixedState)
+        assert str(state) == str(reference) == "the dual map has no fixed point"
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_point_spectrum_takes_the_identity_exactly_when_its_residual_is_within_the_rule(
+    ratio, monkeypatch
+):
+    tol = Tolerances()
+    delta = ratio * _rule_bound(_scaled_channel(0.0), tol, axis=0)
+    phi = _scaled_channel(delta)
+    taken = delta <= _rule_bound(phi, tol, axis=0)
+    assert taken is (ratio < 1.0)
+    calls = route_calls(monkeypatch)
+    spectrum = point_spectrum(phi, tol)
+    # declined, the search finds no kernel and the eig route runs
+    assert ("solve" not in calls and "general_eig" not in calls) is taken
+    assert ("solve" in calls and "general_eig" in calls) is not taken
+    (value,) = spectrum.values
+    assert abs(value - (1.0 + delta)) <= 1e-12
