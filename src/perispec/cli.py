@@ -121,7 +121,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _add_tolerances(parser: argparse.ArgumentParser) -> None:
@@ -238,7 +238,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         t=loaded.t,
     )
     if args.emit is not None:
-        Path(args.emit).write_text(dump_json(explicit_map_dict(loaded.phi)))
+        Path(args.emit).write_text(dump_json(explicit_map_dict(loaded.phi)), encoding="utf-8")
     _emit(dump_json(report), args.out)
     return 0
 

@@ -12,6 +12,14 @@ the rows are stacked in one pass. numpy would read a boolean among numbers as
 anything else numpy cannot stack, goes through a per-entry parser that names
 the offending entry. Rows are read into numpy arrays only from a text that
 holds no t and no f, so no boolean can hide in an array row.
+A superop text above SPLIT_CHARS (1.5 MB) is read by two processes when this
+one can fork, may run on two CPUs and runs no other Python thread: a forked
+child reads the rows after the first comma between rows of pairs past the
+text's midpoint, with the same loop, and sends them back as one array. The
+parent reads the rows before that comma, and takes the child's only when its
+own loop ends on that comma and they are arrays of one shape and dtype;
+otherwise it reads the rest itself. So the matrix is bit-identical to the
+serial read's, and every message comes from the serial reader.
 All serialization is deterministic: keys are sorted, every number is a
 plain Python float, and the C JSON encoder renders every value that is not
 an object, or a list holding one, on a single line.
@@ -20,7 +28,10 @@ an object, or a list holding one, on a single line.
 from __future__ import annotations
 
 import json
+import os
 import re
+import signal
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -244,33 +255,159 @@ def _row(row):
     return arr if arr.dtype.kind in "fi" and arr.shape[1:] in ((), (2,)) else row
 
 
+def _rows(text: str, end: int, stop: int = -1) -> tuple[list, int | None]:
+    """The superop rows from ``end``, just past the array's opening bracket or
+    past a comma between rows, each read by the C scanner and then ``_row``;
+    with the index past the closing bracket, or ``stop`` when a comma between
+    rows sits there, or None where the text from ``end`` is no list of rows."""
+    items = []
+    while True:
+        try:
+            value, end = _scan(text, _skip(text, end).end())
+        except StopIteration:
+            return items, None
+        items.append(_row(value))
+        end = _skip(text, end).end()
+        follow = text[end:end + 1]
+        if follow == "]":
+            return items, end + 1
+        if follow != ",":
+            return items, None
+        if end == stop:
+            return items, end
+        end += 1
+
+
+# The superop text, in characters from its opening bracket on, above which two
+# processes read its rows. Measured on two CPUs, the split breaks even near
+# 1.3 MB (near 0.4 MB on the same machine running at half speed; a fork and
+# its reaping take about 3 ms) and cuts the load by a quarter from 1.8 MB.
+# The largest peripheral-ladder benchmark file, 0.95 MB, stays serial.
+SPLIT_CHARS = 1_500_000
+# a comma between two rows of [re, im] pairs, as group 1
+_BOUNDARY = re.compile(r"\][ \t\n\r]*\][ \t\n\r]*(,)[ \t\n\r]*\[[ \t\n\r]*\[")
+_HEADER = 128  # bytes of the child's header: [end, dtype, shape] as JSON, space-padded
+
+
+def _two_readers(size: int) -> bool:
+    """Whether a superop text of ``size`` characters is read by two
+    processes: it is large, this process can fork and may run on two CPUs,
+    and no other Python thread runs."""
+    if size <= SPLIT_CHARS or not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2 and threading.active_count() == 1
+
+
+def _send_rows(text: str, comma: int, read: int, write: int) -> None:
+    """The forked child: reads the rows after ``comma`` and sends them to
+    ``write`` as one header and the raw bytes of one array, when they are
+    arrays of one shape and one dtype. Sends nothing otherwise, calls no BLAS
+    routine, and always ends in os._exit."""
+    status = 1
+    try:
+        os.close(read)  # or a parent that stops reading would not end a blocked write
+        rows, end = _rows(text, comma + 1)
+        kinds = {(row.shape, row.dtype) if isinstance(row, np.ndarray) else None for row in rows}
+        if end is not None and len(kinds) == 1 and None not in kinds:
+            block = np.stack(rows)
+            header = json.dumps([end, block.dtype.str, block.shape]).encode()
+            with open(write, "wb") as pipe:
+                pipe.write(header.ljust(_HEADER))
+                pipe.write(block.data.cast("B"))
+            status = 0
+    finally:
+        os._exit(status)
+
+
+def _fill(pipe, buffer) -> bool:
+    """Whether ``buffer`` was filled from ``pipe`` before its end."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        count = pipe.readinto(view)
+        if not count:
+            return False
+        view = view[count:]
+    return True
+
+
+def _receive_rows(read: int) -> tuple[np.ndarray, int] | None:
+    """The child's rows as one array, read in place, and the index past the
+    closing bracket; None when the child sent no complete array."""
+    with open(read, "rb", buffering=0, closefd=False) as pipe:
+        header = bytearray(_HEADER)
+        if not _fill(pipe, header):
+            return None
+        end, dtype, shape = json.loads(header)
+        block = np.empty(shape, dtype)
+        return (block, end) if _fill(pipe, block) else None
+
+
+def _split_rows(text: str, start: int) -> tuple[list, int | None]:
+    """``_rows(text, start)``, with the second half of a large superop read by
+    a forked child. The child starts past the first comma between rows of
+    pairs at or after the midpoint of the text; its rows are taken only when
+    the parent's own loop ends on that comma and the child sends one array.
+    Otherwise the parent reads the rest itself, so rows, end and every error
+    are those of the serial loop. The parent always closes the pipe and reaps
+    the child, killing it first unless its rows were taken."""
+    boundary = _two_readers(len(text) - start) and _BOUNDARY.search(text, (start + len(text)) // 2)
+    if not boundary:
+        return _rows(text, start)
+    comma = boundary.start(1)
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return _rows(text, start)
+    if pid == 0:
+        _send_rows(text, comma, read, write)
+    os.close(write)
+    taken = False
+    try:
+        items, end = _rows(text, start, comma)
+        if end == comma:
+            received = _receive_rows(read)
+            taken = received is not None
+            if taken:
+                block, end = received
+                items.extend(block)
+            else:
+                rest, end = _rows(text, comma + 1)
+                items += rest
+        return items, end
+    finally:
+        os.close(read)
+        try:
+            if not taken:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # reaped already: SIGCHLD is ignored
+            pass
+
+
 def _decode(text: str, idx: int, reads) -> tuple[object, int]:
     """The JSON value at ``idx`` of ``text`` and the index past it. A dict
     ``reads`` reads an object key by key, each value as ``reads.get(key)``
-    says; ``_row`` reads an array item by item, each through ``_row``. What
-    the loop does not read (None, another type, an empty or malformed value,
-    a key with escapes) the C scanner reads whole from ``idx``, so malformed
-    text raises what json.loads raises."""
+    says; ``_row`` reads an array row by row (``_split_rows``). What the loop
+    does not read (None, another type, an empty or malformed value, a key
+    with escapes) the C scanner reads whole from ``idx``, so malformed text
+    raises what json.loads raises."""
     rows = reads is _row
-    opener, closer = "[]" if rows else "{}"
-    if reads is None or text[idx:idx + 1] != opener:
+    if reads is None or text[idx:idx + 1] != ("[" if rows else "{"):
         return _scan(text, idx)
+    if rows:
+        items, end = _split_rows(text, idx + 1)
+        return (items, end) if end is not None else _scan(text, idx)
     items, end = [], idx + 1
-    while True:
-        if rows:
-            try:
-                value, end = _scan(text, _skip(text, end).end())
-            except StopIteration:
-                break
-            items.append(_row(value))
-        elif key := _KEY.match(text, end):
-            value, end = _decode(text, key.end(), reads.get(key[1]))
-            items.append((key[1], value))
-        else:
-            break
+    while key := _KEY.match(text, end):
+        value, end = _decode(text, key.end(), reads.get(key[1]))
+        items.append((key[1], value))
         end = _skip(text, end).end()
-        if text[end:end + 1] == closer:
-            return (items if rows else dict(items)), end + 1
+        if text[end:end + 1] == "}":
+            return dict(items), end + 1
         if text[end:end + 1] != ",":
             break
         end += 1
@@ -298,7 +435,7 @@ def _read_document(source: str | Path | dict) -> object:
     # ValueError covers invalid JSON, text that is not UTF-8 and an integer
     # literal past Python's digit limit
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         booleans = "t" in text or "f" in text
         return json.loads(text, cls=None if booleans else _RowDecoder)
     except (OSError, ValueError) as exc:

@@ -596,7 +596,7 @@ def criterion_10(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
 
         for filename, document, command in runs:
             mappath = tmpdir / filename
-            mappath.write_text(dump_json(document))
+            mappath.write_text(dump_json(document), encoding="utf-8")
             outputs = []
             for attempt in range(2):
                 outpath = tmpdir / f"{filename}.{attempt}.report"

@@ -3,6 +3,9 @@ per-entry reference, error messages, and the report layout."""
 
 import json
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,6 +26,7 @@ from perispec import (
     load_map_file,
     point_spectrum,
 )
+from perispec import mapfile
 from perispec.analysis import analyze
 from perispec.mapfile import _numeric_matrix, _parse_matrix, _RowDecoder, matrix_to_json
 
@@ -455,6 +459,277 @@ def test_a_large_explicit_map_loads_in_about_twice_its_file_size(tmp_path):
     # reading the file holds its bytes and its text at once, about 2x its
     # size; a tree of Python lists for the whole superop took over 4x
     assert peak <= 2.5 * path.stat().st_size
+
+
+# The split read: a large superop's second half is read by a forked child.
+# Each test file here is small, so at the real SPLIT_CHARS it is read by the
+# serial loop; with SPLIT_CHARS set to 0 the same file takes the split route,
+# which must give the same matrix, bit for bit, or the same message.
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child_and_no_fd(fds):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """How each split read went, one entry per fork: "forked" when the
+    parent's loop did not end on the child's comma, "declined" when it did and
+    the child sent no array, "taken" when the child's rows were used."""
+    if not (os.path.isdir("/proc/self/fd") and mapfile._two_readers(mapfile.SPLIT_CHARS + 1)):
+        pytest.skip("this process cannot read a superop with a forked child, or count its fds")
+    seen = []
+    fork, receive = os.fork, mapfile._receive_rows
+
+    def recorded_fork():
+        seen.append("forked")
+        return fork()
+
+    def recorded_receive(read):
+        received = receive(read)
+        seen[-1] = "declined" if received is None else "taken"
+        return received
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    monkeypatch.setattr(mapfile, "_receive_rows", recorded_receive)
+    return seen
+
+
+def _both_routes(path, routes):
+    """The outcome of loading ``path`` at the real SPLIT_CHARS and at 0, and
+    the route of each fork the second load made; no load leaves a child
+    process or an open file descriptor behind."""
+    fds = _open_fds()
+    serial = _outcome(path)
+    assert routes == []
+    _assert_no_child_and_no_fd(fds)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mapfile, "SPLIT_CHARS", 0)
+        split = _outcome(path)
+    _assert_no_child_and_no_fd(fds)
+    taken = list(routes)
+    routes.clear()
+    return serial, split, taken
+
+
+def _pairs(matrix):
+    return [[[x.real, x.imag] for x in row] for row in matrix.tolist()]
+
+
+def _split_matrices():
+    rng = rng_for(53)
+    cases = {f"seeded-pairs-{n}": _pairs(random_complex(rng_for(53, n), n, n)) for n in (5, 24, 37)}
+    re, im = _seeded_entries(6, 24)
+    cases["special-pairs"] = [[[x if math.isfinite(x) else 0.5 for x in (a, b)]
+                               for a, b in zip(ra, ia)] for ra, ia in zip(re, im)]
+    cases["real-rows"] = random_complex(rng, 24, 24).real.tolist()
+    cases["integer-pairs"] = rng.integers(-9, 10, size=(24, 24, 2)).tolist()
+    floats = _pairs(random_complex(rng, 24, 24))
+    integers = rng.integers(-9, 10, size=(24, 24, 2)).tolist()
+    cases["integer-then-float-rows"] = integers[:12] + floats[12:]
+    cases["alternating-integer-and-float-rows"] = [
+        (integers if i % 2 else floats)[i] for i in range(24)]
+    cases["integers-among-floats"] = [[pair if (i + j) % 3 else [int(pair[0] * 9), 0]
+                                       for j, pair in enumerate(row)]
+                                      for i, row in enumerate(floats)]
+    return cases
+
+
+_SPLIT_MATRICES = _split_matrices()
+
+
+@pytest.mark.parametrize("name", list(_SPLIT_MATRICES))
+def test_split_read_gives_the_serial_matrix_bit_for_bit(name, routes, tmp_path):
+    obj = _SPLIT_MATRICES[name]
+    document = _superop_document(obj)
+    forms = _file_forms(document) | {"json-tool": json.dumps(document, indent=4)}
+    # real rows hold no comma between rows of pairs, and the child's rows are
+    # declined where their dtypes differ; the first of two superops ends
+    # before the comma the child starts from
+    expected = ["declined" if "alternating" in name else "taken"] if name != "real-rows" else []
+    for form, text in forms.items():
+        path = tmp_path / f"{form}.json"
+        path.write_text(text)
+        serial, split, taken = _both_routes(path, routes)
+        assert isinstance(serial, np.ndarray) and _bits_equal(serial, _outcome(document)), form
+        assert isinstance(split, np.ndarray) and _bits_equal(split, serial), form
+        duplicate = form == "duplicate-superop" and expected
+        assert taken == ["forked"] * bool(duplicate) + expected, form
+
+
+def _planted_faults():
+    """Map-file texts with one fault, each with the route the split read takes:
+    faults in the child's half, where the child declines or its rows are taken
+    all the same, faults in the parent's half, and split candidates that are
+    no comma between rows."""
+    n = 24
+    late, early = 3 * n // 4, n // 4
+    pairs = _pairs(random_complex(rng_for(61), n, n))
+
+    def document(rows):
+        return json.dumps(_superop_document(rows))
+
+    def planted(i, row=None, entry=None):
+        rows = [list(r) for r in pairs]
+        if entry is not None:
+            row = rows[i][:n // 2] + [entry] + rows[i][n // 2 + 1:]
+        rows[i] = row
+        return document(rows)
+
+    text = document(pairs)
+    return {
+        "nan": (planted(late, entry=[math.nan, 0.0]), "taken"),
+        "infinity": (planted(late, entry=[0.0, -math.inf]), None),
+        "string": (planted(late, entry="x"), "declined"),
+        "string-in-a-pair": (planted(late, entry=["]], [[", 0.0]), "declined"),
+        "ragged-row": (planted(late, pairs[late][:-1]), "declined"),
+        "triples": (planted(late, [p + [0.0] for p in pairs[late]]), "declined"),
+        "huge-integer": (planted(late, entry=[10**400, 0]), "declined"),
+        "deeper-row": (planted(late, [pairs[late]]), "declined"),
+        "trailing-garbage": (text[:-2] + " x}}", "taken"),
+        "malformed-late": (text[::-1].replace("[ ,]", "[ ]", 1)[::-1], "declined"),
+        # a key twice as long as the rest of the text holds the midpoint
+        "boundary-in-a-key": (text[:-1] + ', "%s": 1}' % ("]], [[" * (len(text) // 3)), "forked"),
+        # the middle row's entries are four pairs each, so the midpoint of the
+        # text and the first "]], [[" after it fall inside that row
+        "candidate-inside-a-row": (planted(n // 2, [[p] * 4 for p in pairs[n // 2]]), "forked"),
+        "string-early": (planted(early, entry="x"), "taken"),
+        "ragged-early": (planted(early, pairs[early][:-1]), "taken"),
+        "malformed-early": (text.replace("], [", "] [", 1), "forked"),
+        "not-square": (document(pairs[:-1]), "taken"),
+    }
+
+
+_PLANTED = _planted_faults()
+
+
+@pytest.mark.parametrize("name", list(_PLANTED))
+def test_split_read_gives_the_serial_message(name, routes, tmp_path):
+    text, route = _PLANTED[name]
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    serial, split, taken = _both_routes(path, routes)
+    assert isinstance(serial, str)
+    assert split == serial
+    # a text with an f (Infinity) is read whole, without the row loop
+    assert taken == ([route] if route else [])
+
+
+def test_a_file_above_the_split_size_is_split_and_matches_the_dict_route(routes, tmp_path):
+    n = 14
+    u = random_unitary(rng_for(67), n)
+    phi = Superoperator(BlockAlgebra((n,)), np.kron(u, u.conj()))
+    path = tmp_path / "conj-n14.json"
+    path.write_text(dump_json(explicit_map_dict(phi)))
+    assert path.stat().st_size > mapfile.SPLIT_CHARS
+    fds = _open_fds()
+    loaded = load_map_file(path)
+    _assert_no_child_and_no_fd(fds)
+    assert routes == ["taken"]
+    assert _bits_equal(loaded.phi.matrix, load_map_file(json.loads(path.read_text())).phi.matrix)
+
+
+def test_a_parent_side_error_ends_a_child_blocked_on_a_full_pipe(routes, monkeypatch, tmp_path):
+    """The child's half holds 48 rows of 96 pairs, 73,728 bytes, more than a
+    64 KB pipe buffer, so it blocks on writing while the parent's own loop is
+    held up and then fails: the load must fail with the serial message,
+    promptly, and leave no child."""
+    n = 96
+    pairs = _pairs(random_complex(rng_for(71), n, n))
+    text = json.dumps(_superop_document(pairs)).replace("], [", "] [", 1)
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    serial = _outcome(path)
+    rows = mapfile._rows
+
+    def held_up(text, end, stop=-1):
+        if stop >= 0:
+            time.sleep(0.5)
+        return rows(text, end, stop)
+
+    monkeypatch.setattr(mapfile, "_rows", held_up)
+    monkeypatch.setattr(mapfile, "SPLIT_CHARS", 0)
+    fds = _open_fds()
+    start = time.perf_counter()
+    assert _outcome(path) == serial and serial.startswith("cannot parse")
+    assert time.perf_counter() - start < 5.0
+    _assert_no_child_and_no_fd(fds)
+    assert routes == ["forked"]
+
+
+def test_an_interrupted_parent_ends_a_child_still_reading(routes, monkeypatch, tmp_path):
+    """The child would read for a minute; a parent interrupted at once must
+    not wait for it, and must leave no child."""
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(_superop_document(_pairs(random_complex(rng_for(73), 24, 24)))))
+
+    def slow_child(text, comma, read, write):
+        time.sleep(60)
+        os._exit(1)
+
+    def interrupted(text, end, stop=-1):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(mapfile, "_send_rows", slow_child)
+    monkeypatch.setattr(mapfile, "_rows", interrupted)
+    monkeypatch.setattr(mapfile, "SPLIT_CHARS", 0)
+    fds = _open_fds()
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        load_map_file(path)
+    assert time.perf_counter() - start < 5.0
+    _assert_no_child_and_no_fd(fds)
+    assert routes == ["forked"]
+
+
+def _exit_at_once(text, comma, read, write):
+    os._exit(1)
+
+
+def _send_a_partial_array(text, comma, read, write):
+    os.write(write, json.dumps([len(text), "<f8", [1000, 1000, 2]]).encode().ljust(128) + b"\0" * 64)
+    os._exit(0)
+
+
+@pytest.mark.parametrize("child", [_exit_at_once, _send_a_partial_array])
+def test_a_failed_child_falls_back_to_the_serial_read(child, routes, monkeypatch, tmp_path):
+    obj = _pairs(random_complex(rng_for(79), 24, 24))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(_superop_document(obj)))
+    monkeypatch.setattr(mapfile, "_send_rows", child)
+    serial, split, taken = _both_routes(path, routes)
+    assert taken == ["declined"]
+    assert _bits_equal(split, serial)
+
+
+@pytest.mark.parametrize("host", ["one-cpu", "no-fork", "a-second-thread"])
+def test_the_split_needs_two_cpus_fork_and_one_thread(host, routes, monkeypatch, tmp_path):
+    obj = _pairs(random_complex(rng_for(83), 24, 24))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(_superop_document(obj)))
+    monkeypatch.setattr(mapfile, "SPLIT_CHARS", 0)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if host == "one-cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif host == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        thread.start()
+    try:
+        matrix = load_map_file(path).phi.matrix
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join()
+    assert routes == []
+    assert _bits_equal(matrix, load_map_file(_superop_document(obj)).phi.matrix)
 
 
 def _reports():
