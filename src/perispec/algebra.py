@@ -56,20 +56,25 @@ class Tolerances:
 
     eq_tol bounds entrywise residuals, rank_tol is the relative singular
     value cutoff for rank decisions, psd_tol is the slack allowed below zero
-    for eigenvalues of nominally positive semidefinite matrices.
+    for eigenvalues of nominally positive semidefinite matrices. An
+    eigenvalue within peripheral_tol of the unit circle is peripheral, and
+    split copies of one eigenvalue within merge_tol of each other merge.
+    All five are finite; the two radii may be 0, the others are positive.
     """
 
     eq_tol: float = 1e-9
     rank_tol: float = 1e-8
     psd_tol: float = 1e-9
+    peripheral_tol: float = 1e-7
+    merge_tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        for name in ("eq_tol", "rank_tol", "psd_tol"):
+        for name in ("eq_tol", "rank_tol", "psd_tol", "peripheral_tol", "merge_tol"):
             value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise ValueError(
-                    f"{name} must be finite and strictly positive, got {value!r}"
-                )
+            radius = name in ("peripheral_tol", "merge_tol")
+            if not (0.0 <= value < np.inf and (radius or value > 0.0)):
+                need = "nonnegative" if radius else "strictly positive"
+                raise ValueError(f"{name} must be finite and {need}, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()

@@ -9,6 +9,8 @@ in a ``method`` field instead of overclaiming.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import __version__
@@ -26,8 +28,6 @@ from .structure import (
     classify_eigenvectors,
 )
 from .superop import (
-    MERGE_TOL,
-    PERIPHERAL_TOL,
     ContinuousFamily,
     PointSpectrum,
     Superoperator,
@@ -48,16 +48,9 @@ __all__ = ["analyze", "choi_method", "classification_entry", "tolerances_entry"]
 STANDARD_SAMPLES = 10000
 
 
-def tolerances_entry(
-    tol: Tolerances, peripheral_tol: float, merge_tol: float
-) -> dict:
-    return {
-        "eq_tol": float(tol.eq_tol),
-        "rank_tol": float(tol.rank_tol),
-        "psd_tol": float(tol.psd_tol),
-        "peripheral_tol": float(peripheral_tol),
-        "merge_tol": float(merge_tol),
-    }
+def tolerances_entry(tol: Tolerances) -> dict:
+    """Every threshold of ``tol`` by its field name."""
+    return {name: float(value) for name, value in dataclasses.asdict(tol).items()}
 
 
 def _versions_entry() -> dict:
@@ -263,8 +256,6 @@ def analyze(
     tol: Tolerances = DEFAULT_TOL,
     seed: int = 42,
     samples: int = STANDARD_SAMPLES,
-    peripheral_tol: float = PERIPHERAL_TOL,
-    merge_tol: float = MERGE_TOL,
     family: ContinuousFamily | None = None,
     manifest: ExampleManifest | None = None,
     t: float | None = None,
@@ -276,11 +267,11 @@ def analyze(
     and the seesaw falsifier does not run; otherwise, also where the least
     Choi eigenvalue decided, the seesaw gives the section's evidence.
     """
-    spectrum = point_spectrum(phi, tol, peripheral_tol, merge_tol)
+    spectrum = point_spectrum(phi, tol)
     complete = _complete_positivity_entry(phi, tol)
     report = {
         "algebra": {"blocks": list(phi.algebra.blocks)},
-        "tolerances": tolerances_entry(tol, peripheral_tol, merge_tol),
+        "tolerances": tolerances_entry(tol),
         "versions": _versions_entry(),
         "unital": bool(unitality_check(phi, tol)),
         "positivity": _positivity_entry(phi, samples, seed, tol, complete),

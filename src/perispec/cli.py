@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import math
 import re
 import sys
 from pathlib import Path
@@ -67,7 +66,7 @@ from .positivity import (
 )
 from .presets import PRESET_NAMES
 from .structure import classify_eigenvectors
-from .superop import MERGE_TOL, PERIPHERAL_TOL, point_spectrum
+from .superop import point_spectrum
 
 _INPUT_ERRORS = (MapFileError, BadLambda0, MultiBlockUnsupported, LambdaNotInSpectrum)
 
@@ -96,25 +95,23 @@ def _parse_coeffs(text: str) -> list[complex]:
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
+    """The flags' thresholds; the default radii where the subcommand has none."""
+    radii = {k: v for k, v in vars(args).items() if k in ("peripheral_tol", "merge_tol")}
     try:
         return Tolerances(
-            eq_tol=args.tol, rank_tol=args.rank_tol, psd_tol=args.psd_tol
+            eq_tol=args.tol, rank_tol=args.rank_tol, psd_tol=args.psd_tol, **radii
         )
     except ValueError as exc:
         raise MapFileError(str(exc)) from exc
 
 
-def _check_counts_and_radii(args: argparse.Namespace) -> None:
-    """Reject a spectral radius that is not finite and nonnegative, and a
-    sample count below 1, before any work starts."""
-    for name in ("peripheral_tol", "merge_tol"):
-        value = getattr(args, name, 0.0)
-        if not 0.0 <= value < math.inf:
-            raise MapFileError(
-                f"--{name.replace('_', '-')} must be finite and nonnegative, got {value!r}"
-            )
+def _check_counts(args: argparse.Namespace) -> None:
+    """Reject a sample count below 1 and a negative seed before any work
+    starts."""
     if getattr(args, "samples", 1) < 1:
         raise MapFileError(f"--samples must be at least 1, got {args.samples}")
+    if getattr(args, "seed", 0) < 0:
+        raise MapFileError(f"--seed must be nonnegative, got {args.seed}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -149,9 +146,9 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_spectral(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--peripheral-tol", type=float, default=PERIPHERAL_TOL,
+    parser.add_argument("--peripheral-tol", type=float, default=DEFAULT_TOL.peripheral_tol,
                         help="distance from the unit circle to keep (default 1e-7)")
-    parser.add_argument("--merge-tol", type=float, default=MERGE_TOL,
+    parser.add_argument("--merge-tol", type=float, default=DEFAULT_TOL.merge_tol,
                         help="radius for merging split eigenvalues (default 1e-7)")
 
 
@@ -231,8 +228,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         tol=tol,
         seed=args.seed,
         samples=args.samples,
-        peripheral_tol=args.peripheral_tol,
-        merge_tol=args.merge_tol,
         family=loaded.family,
         manifest=loaded.manifest,
         t=loaded.t,
@@ -247,7 +242,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     tol = _tolerances(args)
     loaded = load_map_file(args.mapfile, t=args.t)
     value = _parse_cli_complex(args.lam)
-    spectrum = point_spectrum(loaded.phi, tol, args.peripheral_tol, args.merge_tol)
+    spectrum = point_spectrum(loaded.phi, tol)
     point = spectrum.find(value)
     if point is None:
         known = ", ".join(f"{v:.6g}" for v in spectrum.values)
@@ -274,7 +269,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         )
     ]
     report = {
-        "tolerances": tolerances_entry(tol, args.peripheral_tol, args.merge_tol),
+        "tolerances": tolerances_entry(tol),
         "value": complex_to_pair(point.value),
         "dimension": point.dimension,
         "basis": [element_to_json(x) for x in point.basis],
@@ -460,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         _attach_negative_values(sys.argv[1:] if argv is None else argv)
     )
     try:
-        _check_counts_and_radii(args)
+        _check_counts(args)
         return _HANDLERS[args.command](args)
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error ({type(exc).__name__}): {exc}\n")

@@ -433,12 +433,12 @@ def _read_document(source: str | Path | dict) -> object:
     if not path.exists():
         raise MapFileError(f"no such file: {path}")
     # ValueError covers invalid JSON, text that is not UTF-8 and an integer
-    # literal past Python's digit limit
+    # literal past Python's digit limit; RecursionError, too deep a nesting
     try:
         text = path.read_text(encoding="utf-8")
         booleans = "t" in text or "f" in text
         return json.loads(text, cls=None if booleans else _RowDecoder)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise MapFileError(f"cannot parse {path}: {exc}") from exc
 
 

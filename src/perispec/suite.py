@@ -54,6 +54,7 @@ from .structure import (
     reconstruct,
 )
 from .superop import (
+    Superoperator,
     ergodicity_check,
     group_closure_report,
     invariant_state,
@@ -163,7 +164,8 @@ def criterion_02(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
 
 def criterion_03(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
     """Eight angles: ergodic, maximally mixed invariant state, positive by
-    sampling, never completely positive (Choi minimum -1/2)."""
+    sampling, never completely positive (Choi minimum -1/2); and the
+    closed-form invariant state of a unital map that is not trace preserving."""
     worst = {
         "state_deviation": 0.0,
         "falsifier_min": np.inf,
@@ -187,12 +189,20 @@ def criterion_03(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
         worst["falsifier_min"] = min(worst["falsifier_min"], falsifier.min_output_eig)
         _, least, _, _ = complete_positivity(phi, tol)
         worst["choi_deviation"] = max(worst["choi_deviation"], abs(least - (-0.5)))
+    # x -> sum_jk P_jk E_jk x E_kj sends x to the diagonal matrix P diag(x):
+    # unital, as P is row-stochastic, but not trace preserving, so its dual
+    # fixes the stationary law of P, (1/4, 3/4), not the maximally mixed state
+    markov = np.zeros((4, 4))
+    markov[np.ix_([0, 3], [0, 3])] = [[0.7, 0.3], [0.1, 0.9]]
+    state = invariant_state(Superoperator(mixed.algebra, markov), tol)
+    stationary = element_norm(state.rho - mixed.algebra.element([np.diag([0.25, 0.75])]))
     passed = (
         all_ergodic
         and all_faithful
         and worst["state_deviation"] <= 1e-9
         and worst["falsifier_min"] >= -1e-9
         and worst["choi_deviation"] <= 1e-9
+        and stationary <= 1e-12
     )
     return CriterionResult(
         "c03",
@@ -206,6 +216,7 @@ def criterion_03(seed: int, samples: int, tol: Tolerances) -> CriterionResult:
             "max_state_deviation": worst["state_deviation"],
             "min_falsifier_eig": float(worst["falsifier_min"]),
             "max_choi_min_eig_deviation_from_minus_half": worst["choi_deviation"],
+            "stationary_state_deviation": stationary,
         },
     )
 

@@ -71,9 +71,9 @@ __all__ = [
 ]
 
 # Default radius for treating an eigenvalue as peripheral and for merging
-# numerically split copies of one eigenvalue.
-PERIPHERAL_TOL = 1e-7
-MERGE_TOL = 1e-7
+# numerically split copies of one eigenvalue: the fields of DEFAULT_TOL.
+PERIPHERAL_TOL = DEFAULT_TOL.peripheral_tol
+MERGE_TOL = DEFAULT_TOL.merge_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +129,7 @@ class PointSpectrum:
     """Peripheral spectral points sorted by (real, imaginary) part.
 
     ``merge_tol`` is the radius the points were merged with, and the radius
-    :meth:`find` looks a value up with unless given another one.
+    :meth:`find` and :func:`group_closure_report` look values up with.
     """
 
     points: tuple[SpectralPoint, ...]
@@ -143,11 +143,9 @@ class PointSpectrum:
     def dimensions(self) -> tuple[int, ...]:
         return tuple(p.dimension for p in self.points)
 
-    def find(self, value: complex, radius: float | None = None) -> SpectralPoint | None:
-        if radius is None:
-            radius = self.merge_tol
+    def find(self, value: complex) -> SpectralPoint | None:
         for point in self.points:
-            if abs(point.value - value) <= radius:
+            if abs(point.value - value) <= self.merge_tol:
                 return point
         return None
 
@@ -394,7 +392,7 @@ def _fixed_space(a: np.ndarray, starts: np.ndarray, bound: float) -> np.ndarray:
 
 
 def _single_peripheral(
-    a: np.ndarray, algebra: BlockAlgebra, peripheral_tol: float, tol: Tolerances
+    a: np.ndarray, algebra: BlockAlgebra, tol: Tolerances
 ) -> tuple[complex, np.ndarray] | None:
     """The one peripheral eigenvalue of ``a`` and a unit eigenvector, when a
     spectral-gap certificate allows only one; None otherwise.
@@ -414,7 +412,7 @@ def _single_peripheral(
     starts.
     """
     d = len(a)
-    target = max(1.0 - peripheral_tol, 0.0) ** 2
+    target = max(1.0 - tol.peripheral_tol, 0.0) ** 2
     extra = _extra_starts(d)
     probe = a @ extra
     g, h = probe.conj().T @ probe, extra.T @ extra
@@ -447,7 +445,7 @@ def _single_peripheral(
     bound = _kernel_bound(a, tol)
     identity = _identity_vector(algebra)
     one = identity / math.sqrt(algebra.total_size)
-    if bound <= peripheral_tol and _passes_kernel_rule(a, one, bound):
+    if bound <= tol.peripheral_tol and _passes_kernel_rule(a, one, bound):
         vector = one
     else:
         kernel = _fixed_space(a, np.column_stack([identity, extra]), bound)
@@ -455,17 +453,12 @@ def _single_peripheral(
             return None
         vector = kernel[:, 0]
     value = complex(np.vdot(vector, a @ vector))
-    if abs(abs(value) - 1.0) > peripheral_tol:
+    if abs(abs(value) - 1.0) > tol.peripheral_tol:
         return None
     return value, vector
 
 
-def point_spectrum(
-    phi: Superoperator,
-    tol: Tolerances = DEFAULT_TOL,
-    peripheral_tol: float = PERIPHERAL_TOL,
-    merge_tol: float = MERGE_TOL,
-) -> PointSpectrum:
+def point_spectrum(phi: Superoperator, tol: Tolerances = DEFAULT_TOL) -> PointSpectrum:
     """Peripheral eigenvalues of the map with orthonormal eigenspace bases.
 
     A map that preserves Hermiticity within ``eq_tol``, as every positive map
@@ -481,10 +474,10 @@ def point_spectrum(
     real and positive, is the whole spectrum. Otherwise one dense
     eigendecomposition gives every eigenvalue and eigenvector.
 
-    Eigenvalues within ``peripheral_tol`` of the unit circle are kept and
-    numerically split copies within ``merge_tol`` of each other are merged.
-    Each cluster's eigenvector columns are orthonormalized together and
-    re-verified against the map's matrix with one residual check. When they
+    Eigenvalues within ``tol.peripheral_tol`` of the unit circle are kept
+    and numerically split copies within ``tol.merge_tol`` of each other are
+    merged. Each cluster's eigenvector columns are orthonormalized together
+    and re-verified against the map's matrix with one residual check. When they
     lose rank or fail the check, as at a defective eigenvalue, the
     eigenspace is recomputed as the kernel of (matrix - lambda id) and
     verified the same way.
@@ -493,10 +486,10 @@ def point_spectrum(
     a = phi.matrix if real is None else real
     found = None
     if len(a) >= _CERTIFICATE_MIN_DIM:
-        found = _single_peripheral(a, phi.algebra, peripheral_tol, tol)
+        found = _single_peripheral(a, phi.algebra, tol)
     if found is None:
         eigenvalues, eigenvectors = general_eig(a)
-        keep = [k for k, v in enumerate(eigenvalues) if abs(abs(v) - 1.0) <= peripheral_tol]
+        keep = [k for k, v in enumerate(eigenvalues) if abs(abs(v) - 1.0) <= tol.peripheral_tol]
         peripheral = [complex(eigenvalues[k]) for k in keep]
         columns = eigenvectors[:, keep]
     else:
@@ -508,7 +501,7 @@ def point_spectrum(
         columns = columns * (abs(top) / top)
     bound = max(tol.eq_tol, 10.0 * tol.rank_tol)
     points = []
-    for value, spread, members in _cluster_values(peripheral, merge_tol):
+    for value, spread, members in _cluster_values(peripheral, tol.merge_tol):
         basis = column_space(columns[:, members], tol)
         if basis.shape[1] < len(members) or _row_drift(phi, basis.T, value).max() > bound:
             # merged clusters need an absolute singular-value floor: each member
@@ -528,7 +521,7 @@ def point_spectrum(
         points.append(
             SpectralPoint(value, tuple(_devectorize(phi.algebra, v) for v in basis.T))
         )
-    return PointSpectrum(tuple(points), merge_tol)
+    return PointSpectrum(tuple(points), tol.merge_tol)
 
 
 def ergodicity_check(
@@ -715,8 +708,10 @@ def group_closure_report(spectrum: PointSpectrum) -> GroupClosureReport:
     """Decide whether the spectral values form a multiplicative group.
 
     Unit-modulus values form a group exactly when they contain 1, are closed
-    under conjugation, and are closed under pairwise products. Each product
-    failure is listed as the index pair of its factors in ``spectrum.values``.
+    under conjugation, and are closed under pairwise products. A value counts
+    as present within ``spectrum.merge_tol``, the radius the spectrum was
+    merged with. Each product failure is listed as the index pair of its
+    factors in ``spectrum.values``.
     """
     values = spectrum.values
     k = len(values)
@@ -726,16 +721,17 @@ def group_closure_report(spectrum: PointSpectrum) -> GroupClosureReport:
     products.real = v.real[:, None] * v.real - v.imag[:, None] * v.imag
     products.imag = v.real[:, None] * v.imag + v.imag[:, None] * v.real
     queries = np.concatenate([[1.0 + 0.0j], v.conj(), products.ravel()])
-    # every value within MERGE_TOL of a query has its real part inside this
-    # window, widened so that rounding cannot push one out
+    # every value within the spectrum's merge radius of a query has its real
+    # part inside this window, widened so that rounding cannot push one out
+    radius = spectrum.merge_tol
     ordered = np.sort(v)  # by real part first
-    lo = np.searchsorted(ordered.real, queries.real - 2.0 * MERGE_TOL, "left")
-    hi = np.searchsorted(ordered.real, queries.real + 2.0 * MERGE_TOL, "right")
+    lo = np.searchsorted(ordered.real, queries.real - 2.0 * radius, "left")
+    hi = np.searchsorted(ordered.real, queries.real + 2.0 * radius, "right")
     present = np.zeros(len(queries), dtype=bool)
     for offset in range(int(np.max(hi - lo))):
         index = lo + offset
         inside = index < hi
-        present[inside] |= np.abs(queries[inside] - ordered[index[inside]]) <= MERGE_TOL
+        present[inside] |= np.abs(queries[inside] - ordered[index[inside]]) <= radius
     has_identity = bool(present[0])
     conjugation_closed = bool(np.all(present[1 : k + 1]))
     missing_pairs = np.argwhere(~present[k + 1 :].reshape(k, k)).tolist()

@@ -10,8 +10,10 @@ import json
 import numpy as np
 import pytest
 
+from perispec import suite
 from perispec.algebra import DEFAULT_TOL
 from perispec.suite import CRITERIA
+from perispec.superop import InvariantState
 
 SEED = 42
 SAMPLES = 10000
@@ -24,6 +26,19 @@ def test_acceptance_criterion(cid):
     result = _BY_ID[cid](SEED, SAMPLES, DEFAULT_TOL)
     print(f"[{result.cid}] {'PASS' if result.passed else 'FAIL'} {result.title}")
     assert result.passed, json.dumps(result.details, default=str, indent=2)
+
+
+def test_criterion_03_checks_a_state_that_is_not_maximally_mixed(monkeypatch):
+    # the stationary law of P = [[0.7, 0.3], [0.1, 0.9]] is (1/4, 3/4); a
+    # state routine that answered 1/2 for every map would fail c03
+    assert _BY_ID["c03"](SEED, 200, DEFAULT_TOL).details["stationary_state_deviation"] <= 1e-12
+
+    def mixed(phi, tol, spectrum=None):
+        return InvariantState(phi.algebra.element([np.eye(2) / 2.0]), faithful=True)
+
+    monkeypatch.setattr(suite, "invariant_state", mixed)
+    result = _BY_ID["c03"](SEED, 200, DEFAULT_TOL)
+    assert not result.passed and result.details["stationary_state_deviation"] >= 0.25
 
 
 def test_trials_are_decided_once_per_side_and_read_back_in_trial_order():

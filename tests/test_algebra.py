@@ -1,7 +1,9 @@
 """Block algebra primitives: vectorization, eigensolvers, null and column
 spaces, scalar detection."""
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 
@@ -12,10 +14,13 @@ from hypothesis import strategies as st
 
 import perispec
 from perispec import (
+    MERGE_TOL,
+    PERIPHERAL_TOL,
     AlgebraMismatch,
     BlockAlgebra,
     DimensionMismatch,
     NotHermitian,
+    PointSpectrum,
     Tolerances,
     adjoint,
     devectorize,
@@ -44,11 +49,24 @@ from conftest import (
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-9, float("inf"), float("nan")])
-@pytest.mark.parametrize("field", ["eq_tol", "rank_tol", "psd_tol"])
+@pytest.mark.parametrize(
+    "field", ["eq_tol", "rank_tol", "psd_tol", "peripheral_tol", "merge_tol"]
+)
 def test_tolerances_must_be_positive(field, bad):
     kwargs = {field: bad}
+    if bad == 0.0 and field in ("peripheral_tol", "merge_tol"):
+        # a radius of 0 keeps only exact values, and is allowed
+        assert getattr(Tolerances(**kwargs), field) == 0.0
+        return
     with pytest.raises(ValueError):
         Tolerances(**kwargs)
+
+
+def test_tolerances_carry_exactly_five_thresholds():
+    assert [f.name for f in dataclasses.fields(Tolerances)] == [
+        "eq_tol", "rank_tol", "psd_tol", "peripheral_tol", "merge_tol"
+    ]
+    assert (Tolerances().peripheral_tol, Tolerances().merge_tol) == (PERIPHERAL_TOL, MERGE_TOL)
 
 
 @pytest.mark.parametrize("blocks", [(1,), (2,), (3,), (2, 2), (1, 3, 2)])
@@ -356,6 +374,30 @@ def test_every_name_in_each_all_resolves():
         module = importlib.import_module(f"perispec.{info.name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, (info.name, missing)
+
+
+def test_no_function_takes_a_radius_beside_its_tolerances():
+    # peripheral_tol and merge_tol travel inside Tolerances only; a dataclass
+    # that stores one, like PointSpectrum, is not a function taking it
+    found = []
+    for info in pkgutil.iter_modules(perispec.__path__):
+        module = importlib.import_module(f"perispec.{info.name}")
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            functions = [value] if inspect.isfunction(value) else []
+            if inspect.isclass(value):
+                generated = dataclasses.is_dataclass(value)
+                functions = [
+                    f for key, f in vars(value).items()
+                    if inspect.isfunction(f) and not (generated and key == "__init__")
+                ]
+            for function in functions:
+                params = inspect.signature(function).parameters
+                found += [(name, p) for p in ("peripheral_tol", "merge_tol") if p in params]
+    assert found == []
+    # a spectrum looks values up at the radius it was merged with, and no other
+    assert list(inspect.signature(PointSpectrum.find).parameters) == ["self", "value"]
 
 
 def test_scalar_multiple_detection(two_blocks):

@@ -128,7 +128,8 @@ def test_analyze_with_a_peripheral_tol_below_rounding(tmp_path, capsys):
 def test_analyze_looks_up_the_point_at_one_with_its_own_merge_radius(tmp_path, capsys):
     # diag(1, 0.999998, 0.5) on three 1x1 blocks: at radius 1e-5 the values
     # 1 and 0.999998 merge into one point at 0.999999 of dimension 2, which
-    # lies outside the default MERGE_TOL of 1. The dual fixes only e0.
+    # lies outside the default MERGE_TOL of 1. The dual fixes only e0, and
+    # the group closure finds 1 and 0.999999^2 at the same radius.
     path = tmp_path / "near-fold.json"
     matrix = np.diag([1.0, 0.999998, 0.5]).tolist()
     path.write_text(dump_json({"algebra": {"blocks": [1, 1, 1]}, "map": {"superop": matrix}}))
@@ -140,6 +141,11 @@ def test_analyze_looks_up_the_point_at_one_with_its_own_merge_radius(tmp_path, c
     state = report["invariant_state"]
     assert state["faithful"] is False
     assert max_norm(np.array(state["blocks"]).reshape(3, 2) - [[1, 0], [0, 0], [0, 0]]) <= 1e-12
+    group = report["group_closure"]
+    assert group["has_identity"] is group["is_group"] is True and group["missing"] == []
+    assert report["tolerances"] == {
+        "eq_tol": 1e-5, "rank_tol": 1e-8, "psd_tol": 1e-9, "peripheral_tol": 1e-5, "merge_tol": 1e-5
+    }
 
 
 def _coordinates_of_manifest_combination(path, value, weights) -> str:
@@ -615,12 +621,16 @@ def test_bad_tolerance_flag_exits_two(tmp_path, capsys):
         ("--peripheral-tol", "-1e-7"),
         ("--samples", "0"),
         ("--samples", "-3"),
+        ("--seed", "-1"),
     ],
 )
 def test_analyze_rejects_non_finite_or_out_of_range_options(tmp_path, capsys, option, value):
     path = _write_map(tmp_path)
     assert main(["analyze", str(path), option, value]) == 2
-    assert "MapFileError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "MapFileError" in err
+    # the message names the threshold or count, as flag or as field
+    assert option.lstrip("-").replace("-", "_") in err.replace("-", "_")
 
 
 @pytest.mark.parametrize("option", ["--merge-tol", "--peripheral-tol"])
@@ -642,6 +652,15 @@ def test_suite_rejects_a_zero_sample_count_as_input(capsys):
     assert main(["suite", "--samples", "0"]) == 2
     captured = capsys.readouterr()
     assert "MapFileError" in captured.err
+    assert captured.out == ""
+
+
+def test_suite_rejects_a_negative_seed_as_input(capsys):
+    # numpy's seeding rejects a negative seed; it is bad input, not a failed
+    # criterion
+    assert main(["suite", "--seed", "-1", "--samples", "200"]) == 2
+    captured = capsys.readouterr()
+    assert "MapFileError" in captured.err and "--seed" in captured.err
     assert captured.out == ""
 
 

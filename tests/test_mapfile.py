@@ -257,6 +257,29 @@ def test_files_json_cannot_read_are_map_file_errors(tmp_path, content):
         load_map_file(path)
 
 
+# 100,000 brackets deep, far past the interpreter's recursion limit
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "kind,text",
+    [
+        ("map", '{"algebra": {"blocks": [1]}, "map": {"superop": %s}}' % _DEEP),
+        # an f in the text: read whole by json.loads, without the row loop
+        ("map", '{"algebra": {"blocks": [1]}, "map": {"superop": %s}, "f": 1}' % _DEEP),
+        ("block2", '{"block2": {"a": %s, "b": [[0]], "c": [[0]], "d": [[1]]}}' % _DEEP),
+        ("block2", '{"block2": {"a": %s, "b": [[0]], "c": [[0]], "d": [[1]]}, "f": 1}' % _DEEP),
+    ],
+    ids=["map-rows", "map-whole", "block2", "block2-with-an-f"],
+)
+def test_text_nested_past_the_recursion_limit_is_a_map_file_error(kind, text, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    load = load_map_file if kind == "map" else load_block2_file
+    with pytest.raises(MapFileError, match="cannot parse .*recursion"):
+        load(path)
+
+
 def _superop_document(obj):
     """An explicit map file holding ``obj`` as its superop, with an algebra of
     coefficient dimension len(obj) where that is a positive int."""
@@ -603,6 +626,12 @@ def _planted_faults():
         "ragged-early": (planted(early, pairs[early][:-1]), "taken"),
         "malformed-early": (text.replace("], [", "] [", 1), "forked"),
         "not-square": (document(pairs[:-1]), "taken"),
+        # a row nested past the recursion limit in the child's half: the child
+        # sends nothing, and the parent's own read raises the serial message
+        "nested-past-the-recursion-limit": (
+            planted(late, "deep").replace('"deep"', "[" * 5000 + "]" * 5000),
+            "declined",
+        ),
     }
 
 

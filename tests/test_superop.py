@@ -529,18 +529,50 @@ def test_point_spectrum_finds_values_within_its_own_merge_radius():
     # 0.999999 lies 1e-6 from 1, outside MERGE_TOL but inside the radius the
     # spectrum was merged with. The dual fixes only e0.
     phi = Superoperator(BlockAlgebra((1, 1, 1)), np.diag([1.0, 0.999998, 0.5]))
-    loose = Tolerances(eq_tol=1e-5)
-    spectrum = point_spectrum(phi, loose, 1e-5, 1e-5)
+    loose = Tolerances(eq_tol=1e-5, peripheral_tol=1e-5, merge_tol=1e-5)
+    spectrum = point_spectrum(phi, loose)
     assert spectrum.merge_tol == 1e-5 and spectrum.dimensions == (2,)
     assert spectrum.find(1.0) is spectrum.points[0]
-    assert spectrum.find(1.0, superop.MERGE_TOL) is None
     # a spectrum built by hand looks values up at MERGE_TOL
     assert PointSpectrum(spectrum.points).find(1.0) is None
+    # the group closure looks values up at the spectrum's radius too: 1 and
+    # 0.999999^2 lie within 1e-5 of the point, not within MERGE_TOL
+    report = group_closure_report(spectrum)
+    assert report.has_identity and report.is_group and report.missing_pairs == []
+    strict = group_closure_report(PointSpectrum(spectrum.points))
+    assert not strict.has_identity and strict.missing_pairs == [[0, 0]]
     state = invariant_state(phi, loose, spectrum)
     assert state.faithful is False
     e0 = phi.algebra.element([[[1.0]], [[0.0]], [[0.0]]])
     assert element_norm(state.rho - e0) <= 1e-12
     assert not ergodicity_check(phi, loose, spectrum)
+
+
+def test_checks_without_a_spectrum_compute_it_at_the_callers_radii(monkeypatch):
+    # a symmetric stochastic matrix on C^2 with eigenvalues 1 and 0.999: at
+    # radius 1e-2 they merge into one point of dimension 2 near 1, so the map
+    # is ergodic at the default radii and not at these
+    a = 0.9995
+    phi = Superoperator(BlockAlgebra((1, 1)), np.array([[a, 1 - a], [1 - a, a]]))
+    wide = Tolerances(eq_tol=1e-3, peripheral_tol=1e-2, merge_tol=1e-2)
+    assert ergodicity_check(phi) and not ergodicity_check(phi, wide)
+    seen = []
+    compute = superop.point_spectrum
+    monkeypatch.setattr(
+        superop, "point_spectrum", lambda phi, tol: seen.append(tol) or compute(phi, tol)
+    )
+    state = invariant_state(phi, wide)
+    assert seen == [wide] and max_norm(state.rho.parts[0] - 0.5) <= 1e-12
+
+
+def test_radii_of_zero_keep_and_find_exact_values_only():
+    # diag(1, -1, 1 - 1e-12): at peripheral_tol 0 the value 1 - 1e-12 is not
+    # peripheral, and at merge_tol 0 the group {1, -1} is found exactly
+    phi = Superoperator(BlockAlgebra((1, 1, 1)), np.diag([1.0, -1.0, 1.0 - 1e-12]))
+    spectrum = point_spectrum(phi, Tolerances(peripheral_tol=0.0, merge_tol=0.0))
+    assert spectrum.values == (-1.0, 1.0) and spectrum.merge_tol == 0.0
+    assert spectrum.find(1.0) is spectrum.points[1] and spectrum.find(1.0 - 1e-15) is None
+    assert group_closure_report(spectrum).is_group
 
 
 def _null_space_state(phi, tol) -> InvariantState:

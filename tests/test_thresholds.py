@@ -219,10 +219,11 @@ def test_gap_certificate_never_applies_at_a_peripheral_tol_of_one_or_more(monkey
     # peripheral: 1, 1 - 1e-3, and the 38 copies of 1/2 merged into one point
     phi = _diagonal_map(1.0, 1.0 - 1e-3)
     calls = route_calls(monkeypatch)
-    spectrum = point_spectrum(phi, peripheral_tol=2.0)
+    wide = Tolerances(peripheral_tol=2.0)
+    spectrum = point_spectrum(phi, wide)
     assert "eigvalsh" not in calls and "general_eig" in calls
     assert spectrum.dimensions == (_DIAGONAL_DIM - 2, 1, 1)
-    _assert_same_points(spectrum, _eig_route(monkeypatch, phi, peripheral_tol=2.0))
+    _assert_same_points(spectrum, _eig_route(monkeypatch, phi, tol=wide))
 
 
 # A seeded channel on M8 (Choi side 64) whose Choi matrix C, of rank 3, gets
