@@ -95,14 +95,18 @@ def _parse_coeffs(text: str) -> list[complex]:
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    """The flags' thresholds; the default radii where the subcommand has none."""
+    """The flags' thresholds; the default radii where the subcommand has none.
+    A bad threshold is reported by its flag."""
     radii = {k: v for k, v in vars(args).items() if k in ("peripheral_tol", "merge_tol")}
     try:
         return Tolerances(
             eq_tol=args.tol, rank_tol=args.rank_tol, psd_tol=args.psd_tol, **radii
         )
     except ValueError as exc:
-        raise MapFileError(str(exc)) from exc
+        # Tolerances' message opens with the field's name: name its flag
+        field, _, rest = str(exc).partition(" ")
+        flag = "--tol" if field == "eq_tol" else "--" + field.replace("_", "-")
+        raise MapFileError(f"{flag} {rest}") from exc
 
 
 def _check_counts(args: argparse.Namespace) -> None:
@@ -147,9 +151,9 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
 
 def _add_spectral(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--peripheral-tol", type=float, default=DEFAULT_TOL.peripheral_tol,
-                        help="distance from the unit circle to keep (default 1e-7)")
+                        help="distance from the unit circle to keep (default %(default)s)")
     parser.add_argument("--merge-tol", type=float, default=DEFAULT_TOL.merge_tol,
-                        help="radius for merging split eigenvalues (default 1e-7)")
+                        help="radius for merging split eigenvalues (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

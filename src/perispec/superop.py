@@ -330,14 +330,15 @@ _SHIFT = 2.0**-33
 
 # The smallest dimension at which point_spectrum tries the spectral-gap
 # certificate before the dense eigendecomposition. Below it the eig of a
-# seeded channel is cheaper than the certificate's Gram eigenvalues and
-# inverse iteration together (measured crossover, see CHANGES.md).
+# seeded channel was measured cheaper than the certificate's Gram
+# eigenvalues and the inverse iteration it then ran (see CHANGES.md).
 _CERTIFICATE_MIN_DIM = 36
 
 
 @functools.lru_cache(maxsize=16)
 def _extra_starts(d: int) -> np.ndarray:
-    """The two extra starts of :func:`_fixed_space` and the probe columns of
+    """The two extra starts of :func:`_fixed_space` in
+    :func:`invariant_state` and the probe columns of
     :func:`_single_peripheral`: sin(j) and sin(2 j) for j = 1 .. d as
     columns, fixed and dense. Made once per d, read-only."""
     extra = np.sin(np.outer(np.arange(1, d + 1), (1.0, 2.0)))
@@ -394,8 +395,10 @@ def _fixed_space(a: np.ndarray, starts: np.ndarray, bound: float) -> np.ndarray:
 def _single_peripheral(
     a: np.ndarray, algebra: BlockAlgebra, tol: Tolerances
 ) -> tuple[complex, np.ndarray] | None:
-    """The one peripheral eigenvalue of ``a`` and a unit eigenvector, when a
-    spectral-gap certificate allows only one; None otherwise.
+    """The one peripheral eigenvalue of ``a`` and the normalized identity of
+    ``algebra`` as its unit eigenvector, when a spectral-gap certificate
+    allows only one peripheral eigenvalue and the identity spans the kernel
+    of a - id; None otherwise.
 
     By Weyl's majorant theorem |l1 l2| <= s1 s2 for the two largest
     eigenvalue moduli and singular values, so s1 s2 < (1 - peripheral_tol)^2
@@ -404,12 +407,10 @@ def _single_peripheral(
     two orthonormal columns bound s1 and s2 from below, so when their
     product already reaches that target the certificate is not tried: every
     isometry stops there at O(d^2) cost. Otherwise s1 and s2 come from the
-    eigenvalues of a* a. When they certify, the kernel of a - id must be
-    one-dimensional and its Rayleigh quotient peripheral. On a unital map
-    the normalized identity of ``algebra`` is that kernel, and is taken when
-    it passes the kernel rule of :func:`_fixed_space`; otherwise
-    :func:`_fixed_space` at 1 searches from the identity and the two extra
-    starts.
+    eigenvalues of a* a. When they certify, the kernel of a - id has at most
+    one dimension, and on a unital map the identity passes the kernel rule
+    and spans it. A map whose identity fails the rule is left to the dense
+    eigendecomposition.
     """
     d = len(a)
     target = max(1.0 - tol.peripheral_tol, 0.0) ** 2
@@ -439,23 +440,14 @@ def _single_peripheral(
     # singular values of a - id at most e would give a plane of unit x with
     # |(a - id) x| <= e, hence |a x| >= 1 - e, and by the minimax theorem
     # s1 s2 >= s2^2 >= (1 - e)^2, which the certificate excludes as long as
-    # e <= peripheral_tol. So the kernel is one-dimensional, and on a unital
-    # map the normalized identity u = 1 / |1| passes the rule and is taken
-    # without a search.
+    # e <= peripheral_tol. So the kernel is at most one-dimensional, and on a
+    # unital map the normalized identity u = 1 / |1| passes the rule. Its
+    # Rayleigh quotient is then within e of 1, up to rounding: peripheral.
     bound = _kernel_bound(a, tol)
-    identity = _identity_vector(algebra)
-    one = identity / math.sqrt(algebra.total_size)
-    if bound <= tol.peripheral_tol and _passes_kernel_rule(a, one, bound):
-        vector = one
-    else:
-        kernel = _fixed_space(a, np.column_stack([identity, extra]), bound)
-        if kernel.shape[1] != 1:
-            return None
-        vector = kernel[:, 0]
-    value = complex(np.vdot(vector, a @ vector))
-    if abs(abs(value) - 1.0) > tol.peripheral_tol:
+    one = _identity_vector(algebra) / math.sqrt(algebra.total_size)
+    if bound > tol.peripheral_tol or not _passes_kernel_rule(a, one, bound):
         return None
-    return value, vector
+    return complex(np.vdot(one, a @ one)), one
 
 
 def point_spectrum(phi: Superoperator, tol: Tolerances = DEFAULT_TOL) -> PointSpectrum:
@@ -469,9 +461,9 @@ def point_spectrum(phi: Superoperator, tol: Tolerances = DEFAULT_TOL) -> PointSp
 
     From dimension ``_CERTIFICATE_MIN_DIM`` on, the spectral-gap certificate
     of :func:`_single_peripheral` is tried first. When it proves that at
-    most one eigenvalue can be peripheral and finds it near 1, that value
-    with its eigenvector, phased so that its entry of largest modulus is
-    real and positive, is the whole spectrum. Otherwise one dense
+    most one eigenvalue can be peripheral and the identity is fixed, that
+    value with the normalized identity, whose coordinates are the same in
+    both bases, is the whole spectrum. Otherwise one dense
     eigendecomposition gives every eigenvalue and eigenvector.
 
     Eigenvalues within ``tol.peripheral_tol`` of the unit circle are kept
@@ -492,13 +484,10 @@ def point_spectrum(phi: Superoperator, tol: Tolerances = DEFAULT_TOL) -> PointSp
         keep = [k for k, v in enumerate(eigenvalues) if abs(abs(v) - 1.0) <= tol.peripheral_tol]
         peripheral = [complex(eigenvalues[k]) for k in keep]
         columns = eigenvectors[:, keep]
+        if real is not None:
+            columns = from_hermitian_basis(phi.algebra, columns)
     else:
         peripheral, columns = [found[0]], found[1][:, None]
-    if real is not None:
-        columns = from_hermitian_basis(phi.algebra, columns)
-    if found is not None:
-        top = columns[np.argmax(np.abs(columns[:, 0])), 0]
-        columns = columns * (abs(top) / top)
     bound = max(tol.eq_tol, 10.0 * tol.rank_tol)
     points = []
     for value, spread, members in _cluster_values(peripheral, tol.merge_tol):

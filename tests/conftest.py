@@ -129,10 +129,12 @@ def route_calls(monkeypatch) -> list:
     """Record, in call order, each dense eigendecomposition of
     :func:`~perispec.superop.point_spectrum` as "general_eig", each use of
     the extra columns that the spectral-gap certificate's early exit probes
-    with as "extra_starts", and each LAPACK routine that superop calls itself
-    by its name, such as "eigvalsh"."""
+    with as "extra_starts", each inverse-iteration search of the fixed space
+    as "fixed_space", and each LAPACK routine that superop calls itself by
+    its name, such as "eigvalsh"."""
     calls = []
     general_eig, lapack, extra = superop.general_eig, superop._lapack, superop._extra_starts
+    fixed_space = superop._fixed_space
 
     def recorded_eig(m):
         calls.append("general_eig")
@@ -142,6 +144,10 @@ def route_calls(monkeypatch) -> list:
         calls.append("extra_starts")
         return extra(d)
 
+    def recorded_search(*args):
+        calls.append("fixed_space")
+        return fixed_space(*args)
+
     def recorded_lapack(routine, *args, **kwargs):
         calls.append(routine.__name__)
         return lapack(routine, *args, **kwargs)
@@ -149,6 +155,7 @@ def route_calls(monkeypatch) -> list:
     monkeypatch.setattr(superop, "general_eig", recorded_eig)
     monkeypatch.setattr(superop, "_lapack", recorded_lapack)
     monkeypatch.setattr(superop, "_extra_starts", recorded_extra)
+    monkeypatch.setattr(superop, "_fixed_space", recorded_search)
     return calls
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import inspect
 import math
 import tracemalloc
 
@@ -458,27 +459,62 @@ def test_certified_route_matches_the_eig_route(name, monkeypatch, tol):
 def test_a_kernel_bound_above_the_peripheral_tol_declines_the_identity(monkeypatch):
     # the kernel rule's bound rank_tol * (largest column norm of a - id)
     # exceeds peripheral_tol, so it no longer excludes a second kernel
-    # direction, and the search runs as it would without the candidate
+    # direction: the identity is not tried, and the eig route runs
     tol = Tolerances(rank_tol=1e-6)
     phi = _seeded_mixed_unitary(8)
     real = superop._real_form(phi, tol)
     assert superop._kernel_bound(real, tol) > superop.PERIPHERAL_TOL
-    tried, searches = [], []
-    rule, fixed_space = superop._passes_kernel_rule, superop._fixed_space
-
-    def recorded_rule(*args):
-        tried.append(args)
-        return rule(*args)
-
-    def recorded_search(*args):
-        searches.append(args[2])
-        return fixed_space(*args)
-
-    monkeypatch.setattr(superop, "_passes_kernel_rule", recorded_rule)
-    monkeypatch.setattr(superop, "_fixed_space", recorded_search)
+    tried = []
+    rule = superop._passes_kernel_rule
+    monkeypatch.setattr(
+        superop, "_passes_kernel_rule", lambda *args: tried.append(args) or rule(*args)
+    )
+    calls = route_calls(monkeypatch)
     spectrum = point_spectrum(phi, tol)
-    assert tried == [] and searches == [superop._kernel_bound(real, tol)]
+    assert tried == [] and calls == ["extra_starts", "eigvalsh", "general_eig"]
     assert spectrum.dimensions == (1,) and abs(spectrum.values[0] - 1.0) <= 1e-12
+
+
+def test_only_invariant_state_searches_the_fixed_space():
+    # point_spectrum's certificate takes the identity or declines
+    callers = sorted(
+        name
+        for name, function in vars(superop).items()
+        if inspect.isfunction(function) and "_fixed_space" in function.__code__.co_names
+    )
+    assert callers == ["invariant_state"]
+
+
+def _trace_preserving_channel(n: int) -> Superoperator:
+    # Kraus operators K_k, the n x n row blocks of the first n columns of a
+    # seeded unitary on C^(3n): sum K_k* K_k = 1, but sum K_k K_k* is not 1
+    v = random_unitary(rng_for(93, n), 3 * n)[:, :n]
+    kraus = [v[k * n : (k + 1) * n] for k in range(3)]
+    return Superoperator(BlockAlgebra((n,)), sum(np.kron(k, k.conj()) for k in kraus))
+
+
+def test_a_trace_preserving_non_unital_channel_takes_the_eig_route(monkeypatch, tol):
+    # s1 s2 of this channel is about 1.1, so the certificate declines, and
+    # its fixed state, which is not the identity, comes from the dense
+    # eigendecomposition, with no search of the fixed space
+    phi = _trace_preserving_channel(8)
+    assert phi.algebra.dim >= superop._CERTIFICATE_MIN_DIM
+    one = vectorize(phi.algebra.identity())
+    assert max_norm(phi.matrix.conj().T @ one - one) <= 1e-12
+    assert max_norm(phi.matrix @ one - one) > 0.1
+    calls = route_calls(monkeypatch)
+    spectrum = point_spectrum(phi, tol)
+    assert calls == ["extra_starts", "eigvalsh", "general_eig"]
+    assert spectrum.dimensions == (1,) and abs(spectrum.values[0] - 1.0) <= 1e-12
+    w, v = np.linalg.eig(phi.matrix)
+    k = np.argmin(np.abs(w - 1.0))
+    assert np.sort(np.abs(w))[-2] < 1.0 - 1e-3
+    want = v[:, k] / np.linalg.norm(v[:, k])
+    q = _basis_columns(spectrum.points[0])[:, 0]
+    assert abs(abs(np.vdot(want, q)) - 1.0) <= 1e-12
+    # the basis vector is the fixed state, up to a phase and a scale
+    rho = q.reshape(8, 8) / np.trace(q.reshape(8, 8))
+    assert max_norm(rho - rho.conj().T) <= 1e-12 and np.linalg.eigvalsh(rho)[0] > 0
 
 
 @pytest.mark.parametrize("transpose", [False, True])

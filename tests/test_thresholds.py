@@ -135,15 +135,33 @@ def test_non_normal_map_keeps_its_state_apart_from_a_decay_at_one_minus_delta(de
     assert state.faithful is (pad == 0)
 
 
-# diag(1, 1 - delta, 1/2, ..., 1/2) on d 1x1 blocks, d above the size floor
-# of the spectral-gap certificate. Its two largest singular values multiply
-# to s1 s2 = 1 - delta, so the certificate, s1 s2 < (1 - PERIPHERAL_TOL)^2,
+# A unital, symmetric map on d 1x1 blocks, d above the size floor of the
+# spectral-gap certificate: M = J/d + (1 - delta) u u^T + 1/2 (1 - J/d - u u^T)
+# with J the all-ones matrix and u = (e0 - e1)/sqrt(2). It has the eigenvalue
+# 1 on the identity, the all-ones vector, 1 - delta on u and 1/2 on the rest,
+# and being symmetric its two largest singular values multiply to
+# s1 s2 = 1 - delta. So the certificate, s1 s2 < (1 - PERIPHERAL_TOL)^2,
 # holds exactly when delta exceeds about 2 PERIPHERAL_TOL; its rounding
-# allowance, under 1e-12 here, moves no row. Certified or not, 1 - delta is
+# allowance, about 1e-11 here, moves no row. Certified or not, 1 - delta is
 # peripheral only for delta <= PERIPHERAL_TOL, so the spectrum is the point
-# 1 with basis e0 on every row but the last. At delta = 5e-8 the eig route
-# folds 1 - delta into that point, which is not asserted to be right.
+# 1 with the normalized identity as its basis on every row but the last. At
+# delta = 5e-8 the eig route folds 1 - delta into that point, which is not
+# asserted to be right. The certificate takes the identity itself; the eig
+# route's eigenvector at 1 may lean towards u by its backward error, about
+# d eps, over the gap delta (Davis-Kahan). diag(head, 1/2, ..., 1/2) on the
+# same blocks gives the rows whose eigenvector at 1, if any, is not the
+# identity.
 _DIAGONAL_DIM = 40
+
+
+def _ladder_map(delta: float) -> Superoperator:
+    d = _DIAGONAL_DIM
+    mean = np.full((d, d), 1.0 / d)
+    u = np.zeros(d)
+    u[:2] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
+    uu = np.outer(u, u)
+    m = mean + (1.0 - delta) * uu + 0.5 * (np.eye(d) - mean - uu)
+    return Superoperator(BlockAlgebra((1,) * d), m)
 
 
 def _diagonal_map(*head: float) -> Superoperator:
@@ -169,17 +187,18 @@ def test_gap_certificate_holds_exactly_when_one_minus_delta_is_below_the_target(
     delta, monkeypatch
 ):
     assert _DIAGONAL_DIM >= superop._CERTIFICATE_MIN_DIM
-    phi = _diagonal_map(1.0, 1.0 - delta)
+    phi = _ladder_map(delta)
     certified = 1.0 - delta < (1.0 - PERIPHERAL_TOL) ** 2
     calls = route_calls(monkeypatch)
     spectrum = point_spectrum(phi)
     assert ("general_eig" not in calls) is certified
-    assert "eigvalsh" in calls
+    assert "eigvalsh" in calls and "fixed_space" not in calls
     _assert_same_points(spectrum, _eig_route(monkeypatch, phi))
     if delta > PERIPHERAL_TOL:
         assert spectrum.dimensions == (1,) and abs(spectrum.values[0] - 1.0) <= 1e-12
-        e0 = np.abs([p[0, 0] for p in spectrum.points[0].basis[0].parts])
-        assert np.abs(e0 - np.eye(_DIAGONAL_DIM)[0]).max() <= 1e-12
+        one = np.abs([p[0, 0] for p in spectrum.points[0].basis[0].parts])
+        lean = 1e-12 if certified else _DIAGONAL_DIM * np.finfo(np.float64).eps / delta
+        assert np.abs(one - 1.0 / math.sqrt(_DIAGONAL_DIM)).max() <= lean
 
 
 def test_gap_certificate_declines_a_non_normal_map_with_a_gap(monkeypatch):
@@ -204,12 +223,13 @@ def test_gap_certificate_declines_a_non_normal_map_with_a_gap(monkeypatch):
 def test_gap_certificate_falls_back_when_the_one_large_eigenvalue_is_minus_one(
     monkeypatch,
 ):
-    # diag(-1, 1/2, ...): s1 s2 = 1/2 certifies, but the kernel at 1 is empty,
-    # so the eig route runs and finds the point -1
+    # diag(-1, 1/2, ...): s1 s2 = 1/2 certifies, but the identity is not
+    # fixed, so the eig route runs and finds the point -1
     phi = _diagonal_map(-1.0)
     calls = route_calls(monkeypatch)
     spectrum = point_spectrum(phi)
     assert "eigvalsh" in calls and "general_eig" in calls
+    assert "fixed_space" not in calls
     assert spectrum.dimensions == (1,) and spectrum.values == (-1.0,)
 
 
@@ -325,8 +345,8 @@ def test_point_spectrum_takes_the_identity_exactly_when_its_residual_is_within_t
     assert taken is (ratio < 1.0)
     calls = route_calls(monkeypatch)
     spectrum = point_spectrum(phi, tol)
-    # declined, the search finds no kernel and the eig route runs
-    assert ("solve" not in calls and "general_eig" not in calls) is taken
-    assert ("solve" in calls and "general_eig" in calls) is not taken
+    # declined, the eig route runs without a search
+    assert "solve" not in calls and "fixed_space" not in calls
+    assert ("general_eig" not in calls) is taken
     (value,) = spectrum.values
     assert abs(value - (1.0 + delta)) <= 1e-12
